@@ -245,7 +245,7 @@ def cmd_compare(args) -> int:
     trees = load_samples(args.samples)
     if not trees:
         raise InputError(f"{args.samples}: no trees")
-    mean_tree = mean(trees, EstimatorConfig(seed=args.seed))
+    mean_tree = mean(trees, EstimatorConfig(iterations=args.steps, seed=args.seed))
     consensus = consensus_majority(trees)
     report = compare_mean_consensus(trees, mean_tree, consensus)
     print(render_report(report, trees[0].taxa))
@@ -351,6 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="consensus versus mean, edge by edge")
     compare.add_argument("samples")
+    compare.add_argument("--steps", type=int, default=None, help="proximal steps")
     compare.add_argument("--seed", type=int, default=0)
     compare.set_defaults(func=cmd_compare)
 

@@ -3,13 +3,21 @@
 Each alignment column evolves down the tree under the F81+Gaps model,
 where a mutation on an edge of length l happens with probability
 1 - exp(-l) and redraws the symbol from a site-specific stationary
-distribution over {A, C, G, T, gap}.  The stationary distribution is
-never estimated: a pruning pass from the leaves expresses the column
-likelihood as a sparse polynomial in the stationary probabilities, and
-each monomial integrates in closed form against a Dirichlet prior.
-Edge lengths carry a gamma prior; the posterior is the product, left
-unnormalized (the mixture weights over tree topologies cancel in the
-sampler's acceptance ratio and are never evaluated).
+distribution theta over {A, C, G, T, gap}.  Cutting the tree at every
+mutation leaves mutation-free components, each of which carries one
+symbol drawn from theta: a component holding leaves must show their
+common symbol x and contributes theta_x, and a leafless one contributes
+sum(theta) = 1.  Felsenstein pruning over the status of the component
+open at each vertex (still leafless, or already showing symbol x)
+therefore writes the column likelihood as a polynomial in theta with
+positive coefficients whose exponent of theta_x counts components
+showing x.  It has at most prod_x (m_x + 1) terms, where m_x is the
+number of leaves showing x, and degree at most the number of leaves.
+The stationary distribution is never estimated: each monomial
+integrates in closed form against a Dirichlet prior.  Edge lengths carry a gamma prior; the
+posterior is the product, left unnormalized (the mixture weights over
+tree topologies cancel in the sampler's acceptance ratio and are never
+evaluated).
 """
 
 from __future__ import annotations
@@ -18,8 +26,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-
-from scipy.special import gammaln
 
 from .treespace import TaxonTable, Tree, tree_topology
 
@@ -126,13 +132,11 @@ class GammaPrior:
             (self.shape - 1.0) * math.log(length)
             - length / self.scale
             - self.shape * math.log(self.scale)
-            - float(gammaln(self.shape))
+            - math.lgamma(self.shape)
         )
 
 
 Exponents = tuple[int, int, int, int, int]
-
-_ZERO: Exponents = (0, 0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -150,52 +154,6 @@ class MonomialPoly:
             self, "terms", {e: c for e, c in self.terms.items() if c != 0.0}
         )
 
-    @classmethod
-    def zero(cls) -> "MonomialPoly":
-        return cls({})
-
-    @classmethod
-    def constant(cls, value: float) -> "MonomialPoly":
-        return cls({_ZERO: value})
-
-    @classmethod
-    def symbol(cls, index: int, coeff: float = 1.0) -> "MonomialPoly":
-        exps = [0] * N_SYMBOLS
-        exps[index] = 1
-        return cls({tuple(exps): coeff})
-
-    def __add__(self, other: "MonomialPoly") -> "MonomialPoly":
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            terms[exps] = terms.get(exps, 0.0) + coeff
-        return MonomialPoly(terms)
-
-    def scaled(self, factor: float) -> "MonomialPoly":
-        return MonomialPoly({e: c * factor for e, c in self.terms.items()})
-
-    def __mul__(self, other: "MonomialPoly") -> "MonomialPoly":
-        terms: dict[Exponents, float] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                key = (
-                    ea[0] + eb[0],
-                    ea[1] + eb[1],
-                    ea[2] + eb[2],
-                    ea[3] + eb[3],
-                    ea[4] + eb[4],
-                )
-                terms[key] = terms.get(key, 0.0) + ca * cb
-        return MonomialPoly(terms)
-
-    def shifted(self, index: int) -> "MonomialPoly":
-        """Multiply by the stationary probability of one symbol."""
-        terms = {}
-        for exps, coeff in self.terms.items():
-            lifted = list(exps)
-            lifted[index] += 1
-            terms[tuple(lifted)] = coeff
-        return MonomialPoly(terms)
-
     def max_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -212,7 +170,7 @@ class MonomialPoly:
 
 def mutation_prob(length: float) -> float:
     """Probability of at least one substitution on an edge (unit rate)."""
-    if length <= 0:
+    if not length > 0:
         raise ValueError(f"edge length must be positive, got {length}")
     return -math.expm1(-length)
 
@@ -221,11 +179,11 @@ def mutation_prob(length: float) -> float:
 def _log_moment(counts: Exponents, alpha: tuple[float, ...]) -> float:
     total_alpha = sum(alpha)
     total = sum(counts)
-    value = gammaln(total_alpha) - gammaln(total_alpha + total)
+    value = math.lgamma(total_alpha) - math.lgamma(total_alpha + total)
     for a, count in zip(alpha, counts):
         if count:
-            value += gammaln(a + count) - gammaln(a)
-    return float(value)
+            value += math.lgamma(a + count) - math.lgamma(a)
+    return value
 
 
 def log_dirichlet_moment(counts, prior: DirichletPrior) -> float:
@@ -240,126 +198,149 @@ def dirichlet_moment(counts, prior: DirichletPrior) -> float:
     return math.exp(log_dirichlet_moment(counts, prior))
 
 
-# pruning internals work on bare term dicts to keep the sampler's inner
-# loop off the dataclass machinery
+# Pruning internals work on bare term dicts to keep the sampler's inner
+# loop off the dataclass machinery.  A term's key packs its exponent
+# vector into one int, `width` bits per symbol, so multiplying two
+# monomials is one integer addition.  An exponent never exceeds the leaf
+# count, so width = n_leaves.bit_length() leaves no carry between symbols.
 
-def _mul_terms(left: dict, right: dict) -> dict:
+# status polynomials are scaled by a power of two (exactly) once their
+# largest coefficient falls below this
+_RESCALE_BELOW = 2.0**-256
+_LOG2 = math.log(2.0)
+
+
+def _product(left: dict, right: dict) -> dict:
     if len(left) > len(right):
         left, right = right, left
-    if len(left) == 1:
-        (ea, ca), = left.items()
-        if ea == _ZERO:
-            return {eb: ca * cb for eb, cb in right.items()}
-        return {
-            (
-                ea[0] + eb[0],
-                ea[1] + eb[1],
-                ea[2] + eb[2],
-                ea[3] + eb[3],
-                ea[4] + eb[4],
-            ): ca * cb
-            for eb, cb in right.items()
-        }
     out: dict = {}
-    for ea, ca in left.items():
-        for eb, cb in right.items():
-            key = (
-                ea[0] + eb[0],
-                ea[1] + eb[1],
-                ea[2] + eb[2],
-                ea[3] + eb[3],
-                ea[4] + eb[4],
-            )
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            key = ka + kb
             out[key] = out.get(key, 0.0) + ca * cb
     return out
 
 
-def _shift_into(accum: dict, terms: dict, index: int, factor: float) -> None:
-    for exps, coeff in terms.items():
-        lifted = list(exps)
-        lifted[index] += 1
-        key = tuple(lifted)
+def _add_into(accum: dict, terms: dict, factor: float = 1.0) -> None:
+    for key, coeff in terms.items():
         accum[key] = accum.get(key, 0.0) + coeff * factor
 
 
-def _column_terms(root, column) -> dict:
-    def upward(node) -> list[dict]:
-        """Messages indexed by the parent state."""
-        mut = mutation_prob(node.length)
-        stay = 1.0 - mut
+def _closed(empty: dict, shows: dict, units) -> dict:
+    """The open component closes: leafless adds 1, showing x adds theta_x."""
+    out = dict(empty)
+    for x, terms in shows.items():
+        unit = units[x]
+        for key, coeff in terms.items():
+            out[key + unit] = out.get(key + unit, 0.0) + coeff
+    return out
+
+
+def _rescale(empty: dict, shows: dict) -> tuple[int, float]:
+    """Multiply every status polynomial by 2**-k, exactly, when the largest
+    coefficient nears underflow; returns k (0 when nothing was scaled) and
+    the largest coefficient afterwards."""
+    states = [empty, *shows.values()]
+    peak = max((max(terms.values()) for terms in states if terms), default=0.0)
+    if peak == 0.0 or peak >= _RESCALE_BELOW:
+        return 0, peak
+    exponent = math.frexp(peak)[1]
+    factor = math.ldexp(1.0, -exponent)
+    for terms in states:
+        for key in terms:
+            terms[key] *= factor
+    return exponent, peak * factor
+
+
+def _column_terms(root, column) -> tuple[dict, int]:
+    """The column polynomial as ({exponents: coefficient}, scale); the
+    likelihood's coefficients are these times 2**scale.
+
+    Each vertex holds the status polynomials of the mutation-free
+    component open at it: `empty` while that component has no leaf
+    below, `shows[x]` once its leaves show symbol x.  Coefficients are
+    sums of products of probabilities, never differences.
+    """
+    width = len(column).bit_length()
+    units = [1 << (width * x) for x in range(N_SYMBOLS)]
+    scale = 0
+
+    def statuses(node) -> tuple[dict, dict, float]:
+        """Status polynomials at `node` and a lower bound on their largest
+        coefficient."""
+        nonlocal scale
         if node.is_leaf():
-            observed = column[node.leaf]
-            exps = [0] * N_SYMBOLS
-            exps[observed] = 1
-            base = (tuple(exps), mut)
-            messages = [dict([base])] * N_SYMBOLS
-            messages[observed] = {base[0]: mut, _ZERO: stay}
-            return messages
-        below = state_products(node)
-        # message(p) = mut * sum_x theta_x below(x) + stay * below(p)
-        mixed: dict = {}
-        for x in range(N_SYMBOLS):
-            _shift_into(mixed, below[x], x, mut)
-        messages = []
-        for p in range(N_SYMBOLS):
-            message = dict(mixed)
-            for exps, coeff in below[p].items():
-                message[exps] = message.get(exps, 0.0) + coeff * stay
-            messages.append(message)
-        return messages
-
-    def state_products(node) -> list[dict]:
-        products = None
+            return {}, {column[node.leaf]: {0: 1.0}}, 1.0
+        empty, shows, floor = {0: 1.0}, {}, 1.0
         for child in node.children:
-            messages = upward(child)
-            if products is None:
-                products = messages
-            else:
-                products = [
-                    _mul_terms(products[x], messages[x]) for x in range(N_SYMBOLS)
-                ]
-        return products if products is not None else [{_ZERO: 1.0}] * N_SYMBOLS
+            c_empty, c_shows, c_floor = statuses(child)
+            mut = mutation_prob(child.length)
+            stay = 1.0 - mut
+            # a mutation on the edge closes the child's component
+            m_empty = {k: c * mut for k, c in _closed(c_empty, c_shows, units).items()}
+            _add_into(m_empty, c_empty, stay)
+            m_shows = {
+                x: {k: c * stay for k, c in terms.items()}
+                for x, terms in c_shows.items()
+            }
+            folded = {}
+            for x in sorted(shows.keys() | m_shows.keys()):
+                terms: dict = {}
+                if x in shows:
+                    stays_x = m_empty
+                    if x in m_shows:
+                        stays_x = dict(m_empty)
+                        _add_into(stays_x, m_shows[x])
+                    _add_into(terms, _product(shows[x], stays_x))
+                if x in m_shows:
+                    _add_into(terms, _product(empty, m_shows[x]))
+                folded[x] = terms
+            empty, shows = _product(empty, m_empty), folded
+            # a message keeps at least half its child's largest coefficient,
+            # and folding it in keeps at least mut times both largest ones
+            floor *= c_floor * mut * 0.5
+            if floor < _RESCALE_BELOW:
+                exponent, floor = _rescale(empty, shows)
+                scale += exponent
+        return empty, shows, floor
 
-    below_root = state_products(root)
-    result: dict = {}
-    for x in range(N_SYMBOLS):
-        _shift_into(result, below_root[x], x, 1.0)
-    return {exps: coeff for exps, coeff in result.items() if coeff != 0.0}
+    empty, shows, _ = statuses(root)
+    packed = _closed(empty, shows, units)
+    mask = (1 << width) - 1
+    terms = {
+        tuple((key >> (width * x)) & mask for x in range(N_SYMBOLS)): coeff
+        for key, coeff in packed.items()
+        if coeff > 0.0
+    }
+    return terms, scale
 
 
 def column_poly(tree: Tree, column) -> MonomialPoly:
     """The column likelihood as a polynomial in the stationary distribution.
 
-    A pruning pass from the leaves toward leaf 0's neighbor; each vertex
-    sends its parent one polynomial per parent state, and the root state
-    contributes one extra stationary factor.
+    A pruning pass from the leaves toward leaf 0's neighbor over the
+    status of each vertex's mutation-free component; the root closes the
+    last component.
     """
     column = tuple(column)
     if len(column) != tree.taxa.size:
         raise ValueError("column length does not match the taxa")
     if any(not 0 <= x < N_SYMBOLS for x in column):
         raise ValueError("symbol outside the alphabet")
-    return MonomialPoly(_column_terms(tree_topology(tree), column))
+    terms, scale = _column_terms(tree_topology(tree), column)
+    return MonomialPoly({e: math.ldexp(c, scale) for e, c in terms.items()})
 
 
 def _log_pattern_likelihood(
     root, pattern, prior: DirichletPrior, column_index: int
 ) -> float:
-    terms = _column_terms(root, pattern)
+    terms, scale = _column_terms(root, pattern)
     if not terms:
-        raise ColumnLikelihoodError(column_index, "empty column polynomial")
-    alpha = prior.alpha
-    logs = []
-    for exps, coeff in terms.items():
-        if coeff <= 0.0:
-            raise ColumnLikelihoodError(
-                column_index, f"nonpositive coefficient {coeff}"
-            )
-        logs.append(math.log(coeff) + _log_moment(exps, alpha))
-    peak = max(logs)
-    if peak == -math.inf:
         raise ColumnLikelihoodError(column_index, "likelihood underflow to zero")
-    return peak + math.log(sum(math.exp(l - peak) for l in logs))
+    alpha = prior.alpha
+    logs = [math.log(c) + _log_moment(e, alpha) for e, c in terms.items()]
+    peak = max(logs)
+    return peak + math.log(sum(math.exp(l - peak) for l in logs)) + scale * _LOG2
 
 
 def log_likelihood(tree: Tree, alignment: Alignment, prior: DirichletPrior) -> float:

@@ -210,6 +210,75 @@ def pruning_likelihood_vectorized(tree: Tree, column, thetas: np.ndarray) -> np.
     return (thetas * below_root).sum(axis=1)
 
 
+def _raw_product(left: dict, right: dict) -> dict:
+    out: dict = {}
+    for ea, ca in left.items():
+        for eb, cb in right.items():
+            key = tuple(a + b for a, b in zip(ea, eb))
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def _raw_times_theta(accum: dict, terms: dict, symbol: int, factor: float) -> None:
+    for exps, coeff in terms.items():
+        key = tuple(e + (i == symbol) for i, e in enumerate(exps))
+        accum[key] = accum.get(key, 0.0) + coeff * factor
+
+
+def raw_theta_column_terms(tree: Tree, column) -> dict:
+    """Column polynomial {exponents: coefficient} by pruning over raw symbols.
+
+    Each vertex sends its parent one polynomial per parent state,
+    mut * sum_x theta_x below(x) + stay * below(parent state), and the root
+    state adds one stationary factor.  sum(theta) = 1 is never applied, so
+    every leafless mutation component multiplies the term count: the
+    polynomial is exact but only practical up to about 8 taxa.
+    """
+    n_states = 5
+    one = (0,) * n_states
+
+    def below(node) -> list:
+        products = [{one: 1.0} for _ in range(n_states)]
+        for child in node.children:
+            mut = -math.expm1(-child.length)
+            stay = 1.0 - mut
+            if child.is_leaf():
+                sub = [{} for _ in range(n_states)]
+                sub[column[child.leaf]] = {one: 1.0}
+            else:
+                sub = below(child)
+            mixed: dict = {}
+            for x in range(n_states):
+                _raw_times_theta(mixed, sub[x], x, mut)
+            for p in range(n_states):
+                message = dict(mixed)
+                for exps, coeff in sub[p].items():
+                    message[exps] = message.get(exps, 0.0) + coeff * stay
+                products[p] = _raw_product(products[p], message)
+        return products
+
+    result: dict = {}
+    for x, terms in enumerate(below(tree_topology(tree))):
+        _raw_times_theta(result, terms, x, 1.0)
+    return {exps: coeff for exps, coeff in result.items() if coeff != 0.0}
+
+
+def raw_theta_log_likelihood(tree: Tree, columns, alpha) -> float:
+    """Summed log column likelihood, each raw-symbol polynomial integrated
+    monomial by monomial against Dirichlet(alpha)."""
+    total_alpha = sum(alpha)
+    total = 0.0
+    for column in columns:
+        value = 0.0
+        for exps, coeff in raw_theta_column_terms(tree, column).items():
+            log_moment = math.lgamma(total_alpha) - math.lgamma(total_alpha + sum(exps))
+            for a, e in zip(alpha, exps):
+                log_moment += math.lgamma(a + e) - math.lgamma(a)
+            value += coeff * math.exp(log_moment)
+        total += math.log(value)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Euclidean estimators on single-orthant tree sets
 

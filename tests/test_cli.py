@@ -1,5 +1,10 @@
 import json
+import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
 import bhvphylo.cli as cli
@@ -65,6 +70,20 @@ def samples_file(tmp_path, demo_fasta):
     )
     assert rc == EXIT_OK
     return out
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import sys, bhvphylo.cli; print('scipy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestSimulate:
@@ -200,6 +219,34 @@ class TestSample:
         )
         assert rc == EXIT_NUMERICAL
 
+    def test_64_taxa_long_branches_finite_or_exit_three(self, tmp_path):
+        # four columns with a 70% shared base and one all-gap column; gamma
+        # scale 3 draws a start tree with long branches
+        rng = np.random.default_rng(64)
+        base = rng.integers(0, 4, 4)
+        rows = []
+        for taxon in range(64):
+            shared = "".join(
+                "ACGT"[b] if rng.uniform() < 0.7 else "ACGT-"[rng.integers(5)]
+                for b in base
+            )
+            rows.append((f"t{taxon:02d}", shared + "-"))
+        fasta = tmp_path / "wide.fasta"
+        write_fasta(fasta, rows)
+        out = tmp_path / "wide"
+        rc = main(
+            [
+                "sample", str(fasta), "--out", str(out), "--seed", "2",
+                "--scale", "3", "--iters", "3", "--burnin", "0",
+            ]
+        )
+        assert rc in (EXIT_OK, EXIT_NUMERICAL)
+        if rc == EXIT_OK:
+            trace = (tmp_path / "wide.trace.csv").read_text().splitlines()[1:]
+            assert trace
+            for row in trace:
+                assert math.isfinite(float(row.split(",")[2]))
+
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(
             ["sample", str(tmp_path / "nope.fasta"), "--out", str(tmp_path / "x"), "--seed", "1"]
@@ -297,6 +344,22 @@ class TestSummaryCommands:
     def test_compare_runs(self, samples_file, capsys):
         rc = main(["compare", f"{samples_file}.samples", "--seed", "1"])
         assert rc == EXIT_OK
+        assert "consensus" in capsys.readouterr().out
+
+    def test_compare_steps_flag_sets_the_mean_budget(
+        self, samples_file, capsys, monkeypatch
+    ):
+        budgets = []
+        real_mean = cli.mean
+
+        def recording_mean(trees, config):
+            budgets.append(config.iterations)
+            return real_mean(trees, config)
+
+        monkeypatch.setattr(cli, "mean", recording_mean)
+        rc = main(["compare", f"{samples_file}.samples", "--seed", "1", "--steps", "40"])
+        assert rc == EXIT_OK
+        assert budgets == [40]
         assert "consensus" in capsys.readouterr().out
 
 

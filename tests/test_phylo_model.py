@@ -1,11 +1,11 @@
 import math
-from math import comb
 
 import numpy as np
 import pytest
 
 from bhvphylo.phylo_model import (
     Alignment,
+    ColumnLikelihoodError,
     DirichletPrior,
     GAP,
     GammaPrior,
@@ -17,14 +17,59 @@ from bhvphylo.phylo_model import (
     log_prior,
     mutation_prob,
 )
-from bhvphylo.treespace import Split, TaxonTable, Tree
+from bhvphylo.treespace import Split, TaxonTable, Tree, tree_topology
 
 from conftest import make_taxa, random_tree
-from oracles import pruning_likelihood_vectorized, state_enumeration_likelihood
+from oracles import (
+    pruning_likelihood_vectorized,
+    raw_theta_log_likelihood,
+    state_enumeration_likelihood,
+)
 
 
 def random_column(rng, size):
     return tuple(int(x) for x in rng.integers(0, 5, size))
+
+
+def shared_base_column(rng, size, share=0.7):
+    """Each symbol is one common base with probability `share`, else uniform."""
+    base = int(rng.integers(0, 5))
+    return tuple(
+        base if rng.uniform() < share else int(rng.integers(0, 5)) for _ in range(size)
+    )
+
+
+def log_uniform_lengths(tree, rng, low, high):
+    """The same topology with every length drawn log-uniformly from [low, high]."""
+
+    def draw():
+        return float(math.exp(rng.uniform(math.log(low), math.log(high))))
+
+    return Tree(
+        tree.taxa,
+        tuple(draw() for _ in tree.leaf_lengths),
+        {split: draw() for split in tree.inner},
+    )
+
+
+def parsimony_length(tree, column):
+    """Fewest symbol changes that explain the column (Fitch-Hartigan counts)."""
+    cost = 0
+
+    def states(node):
+        nonlocal cost
+        if node.is_leaf():
+            return {column[node.leaf]}
+        counts = {}
+        for child in node.children:
+            for x in states(child):
+                counts[x] = counts.get(x, 0) + 1
+        best = max(counts.values())
+        cost += len(node.children) - best
+        return {x for x, c in counts.items() if c == best}
+
+    states(tree_topology(tree))
+    return cost
 
 
 class TestMutationProb:
@@ -40,6 +85,8 @@ class TestMutationProb:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             mutation_prob(0.0)
+        with pytest.raises(ValueError):
+            mutation_prob(math.nan)
 
 
 class TestDirichletMoment:
@@ -157,13 +204,16 @@ class TestColumnPoly:
     def test_term_count_bound(self, rng):
         for n_leaves in (4, 5, 6):
             taxa = make_taxa(n_leaves)
-            bound = comb(n_leaves + 5, 5)
             for _ in range(10):
                 tree = random_tree(taxa, rng, low=0.3, high=3.0)
-                poly = column_poly(tree, random_column(rng, n_leaves))
-                assert len(poly.terms) <= bound
-                # one stationary factor per edge plus one for the root state
-                assert poly.max_degree() <= 2 * n_leaves - 2 + 1
+                column = random_column(rng, n_leaves)
+                poly = column_poly(tree, column)
+                # theta_x's exponent counts components showing x: at most m_x
+                assert len(poly.terms) <= math.prod(
+                    column.count(x) + 1 for x in range(5)
+                )
+                # every component that contributes a factor holds a leaf
+                assert poly.max_degree() <= n_leaves
 
     def test_rejects_bad_symbol(self, rng):
         tree = random_tree(make_taxa(4), rng)
@@ -278,6 +328,93 @@ class TestLogLikelihood:
         tree = random_tree(taxa, rng)
         aln = Alignment.from_columns(taxa, [])
         assert log_likelihood(tree, aln, DirichletPrior()) == 0.0
+
+
+class TestRawThetaOracle:
+    def test_matches_raw_theta_pruning(self, rng):
+        prior = DirichletPrior()
+        worst = 0.0
+        for trial in range(60):
+            n_leaves = int(rng.integers(4, 9))
+            taxa = make_taxa(n_leaves)
+            shape = random_tree(taxa, rng, drop_probability=0.3)
+            tree = log_uniform_lengths(shape, rng, 1e-6, 5.0)
+            if trial % 2:
+                tree = tree.with_leaf_length(1, 1e-6).with_leaf_length(2, 5.0)
+            columns = [
+                shared_base_column(rng, n_leaves),
+                (GAP,) * n_leaves,
+                random_column(rng, n_leaves),
+            ]
+            aln = Alignment.from_columns(taxa, columns)
+            got = log_likelihood(tree, aln, prior)
+            want = raw_theta_log_likelihood(tree, columns, prior.alpha)
+            worst = max(worst, abs(got - want) / abs(want))
+        assert worst <= 1e-12
+
+    def test_matches_raw_theta_pruning_when_rescaled(self, rng):
+        # lengths near 1e-50 put the pruning's coefficients far below the
+        # rescaling threshold, while the oracle's leading terms stay normal
+        prior = DirichletPrior()
+        for _ in range(20):
+            n_leaves = int(rng.integers(4, 9))
+            taxa = make_taxa(n_leaves)
+            shape = random_tree(taxa, rng, drop_probability=0.3)
+            tree = log_uniform_lengths(shape, rng, 1e-55, 1e-45)
+            columns = [shared_base_column(rng, n_leaves), random_column(rng, n_leaves)]
+            got = log_likelihood(tree, Alignment.from_columns(taxa, columns), prior)
+            want = raw_theta_log_likelihood(tree, columns, prior.alpha)
+            assert got == pytest.approx(want, rel=1e-12)
+
+
+class TestScale:
+    def test_32_taxa_columns_match_monte_carlo(self, rng):
+        taxa = make_taxa(32)
+        tree = random_tree(taxa, rng, low=0.02, high=0.3)
+        prior = DirichletPrior()
+        for column in (
+            shared_base_column(rng, 32),
+            (GAP,) * 32,
+            random_column(rng, 32),
+        ):
+            draws = rng.dirichlet(prior.alpha, size=200000)
+            values = pruning_likelihood_vectorized(tree, column, draws)
+            se = values.std(ddof=1) / math.sqrt(len(values))
+            got = math.exp(log_likelihood(tree, Alignment.from_columns(taxa, [column]), prior))
+            assert got == pytest.approx(float(values.mean()), abs=3 * se)
+
+    def test_64_taxa_long_branches_finite(self, rng):
+        taxa = make_taxa(64)
+        prior = DirichletPrior()
+        for low, high in ((1.0, 5.0), (20.0, 50.0)):
+            tree = random_tree(taxa, rng, low=low, high=high)
+            for column in (
+                shared_base_column(rng, 64),
+                (GAP,) * 64,
+                random_column(rng, 64),
+            ):
+                aln = Alignment.from_columns(taxa, [column])
+                try:
+                    value = log_likelihood(tree, aln, prior)
+                except ColumnLikelihoodError:
+                    continue
+                assert math.isfinite(value)
+                assert value <= 0.0
+
+    def test_likelihood_below_float_range_keeps_parsimony_slope(self, rng):
+        # with every edge t -> 0 the likelihood is C t^k (1 + O(t)), k the
+        # parsimony length; here it is far below the smallest double
+        taxa = make_taxa(64)
+        shape = random_tree(taxa, rng)
+        column = shared_base_column(rng, 64)
+        aln = Alignment.from_columns(taxa, [column])
+        logs = []
+        for t in (1e-30, 1e-31):
+            tree = Tree(taxa, (t,) * 64, {split: t for split in shape.inner})
+            logs.append(log_likelihood(tree, aln, DirichletPrior()))
+        assert logs[0] < math.log(5e-324)
+        slope = (logs[0] - logs[1]) / math.log(10.0)
+        assert slope == pytest.approx(parsimony_length(shape, column), abs=1e-6)
 
 
 class TestLogPriorPosterior:
