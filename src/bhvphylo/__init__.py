@@ -3,7 +3,6 @@
 from .treespace import (
     InvalidTreeError,
     NewickError,
-    Orthant,
     Split,
     TaxonTable,
     Tree,
@@ -40,7 +39,6 @@ __all__ = [
     "InvalidTreeError",
     "MonomialPoly",
     "NewickError",
-    "Orthant",
     "ProposalConfig",
     "RunConfig",
     "Split",

@@ -72,11 +72,12 @@ def _iterates(
         else:
             pick = i % count
         target = trees[pick]
-        dist = distance(current, target)
+        path = geodesic(current, target)
+        dist = path.distance()
         if dist > 0.0:
             eta = step_size(i, dist)
             assert 0.0 < eta <= 1.0
-            current = geodesic(current, target).point(eta)
+            current = path.point(eta)
         yield current, dist
         i += 1
 
@@ -116,11 +117,6 @@ def variance(trees, at: Tree) -> float:
     if not trees:
         raise ValueError("no input trees")
     return sum(distance(at, t) ** 2 for t in trees) / len(trees)
-
-
-def frechet_objective(trees, at: Tree) -> float:
-    """The mean objective (1/K) sum of squared distances, evaluated at `at`."""
-    return variance(trees, at)
 
 
 def median_objective(trees, at: Tree) -> float:

@@ -114,13 +114,6 @@ def _refine(
         tuple(edges),
     )
     _, (cover_a, cover_b) = max_flow(net)
-    # repair any edge a numerically degenerate cut left uncovered
-    for i, j in edges:
-        if i not in cover_a and j not in cover_b:
-            if net.a_weights[i] <= net.b_weights[j]:
-                cover_a = cover_a | {i}
-            else:
-                cover_b = cover_b | {j}
     weight = sum(net.a_weights[i] for i in cover_a) + sum(
         net.b_weights[j] for j in cover_b
     )

@@ -1,15 +1,23 @@
-"""Push-relabel max flow on the bipartite incompatibility networks.
+"""Shortest-augmenting-path max flow on the bipartite incompatibility networks.
 
 The geodesic refinement step needs minimum-weight vertex covers of small
 bipartite graphs with real-valued vertex weights.  The standard encoding
 is used: source -> a on the first side with capacity w(a), b -> sink on
-the second side with capacity w(b), and an effectively infinite arc a -> b
-for every incompatibility edge.  The max flow equals the min cover weight,
-and the cover itself is read off the final residual graph.
+the second side with capacity w(b), and an uncapacitated arc a -> b for
+every incompatibility edge.  Flow is augmented along shortest residual
+paths (Edmonds-Karp) until none is left.  The max flow equals the min
+cover weight, and the cover is read off the final residual graph.
+
+Float dust cannot break either part: an augmentation zeroes its
+bottleneck arc exactly and leaves every other residual positive, so the
+Edmonds-Karp bound on the number of augmentations holds as in exact
+arithmetic; and an a -> b arc never saturates, so a vertex b that reaches
+the sink takes every neighbour a with it and every edge is covered.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -37,107 +45,59 @@ def max_flow(net: FlowNetwork) -> tuple[float, tuple[frozenset[int], frozenset[i
     """Max flow value and the minimum vertex cover it certifies.
 
     Returns (flow, (cover_a, cover_b)) where cover_a/cover_b index into
-    the two weight tuples.  The cover is the sink-side minimum cut of the
-    final residual graph, which makes tie-breaking deterministic.
+    the two weight tuples.  cover_a holds the first-side vertices that
+    still reach the sink in the final residual graph and cover_b the
+    second-side vertices that do not; this is the smallest sink side of
+    any minimum cut, so ties break the same way for every max flow.
     """
     na, nb = len(net.a_weights), len(net.b_weights)
-    source = 0
-    sink = na + nb + 1
-    size = sink + 1
-    big = sum(net.a_weights) + 1.0
+    # vertices: 0..na-1 first side, na..na+nb-1 second side, then source, sink
+    source, sink = na + nb, na + nb + 1
+    residual: list[dict[int, float]] = [{} for _ in range(na + nb + 2)]
 
-    # residual capacities as paired directed arcs
-    head: list[int] = []
-    res: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(size)]
-
-    def add_arc(u: int, v: int, cap: float) -> None:
-        adj[u].append(len(head))
-        head.append(v)
-        res.append(cap)
-        adj[v].append(len(head))
-        head.append(u)
-        res.append(0.0)
+    def add_arc(u: int, v: int, capacity: float) -> None:
+        residual[u][v] = capacity
+        residual[v].setdefault(u, 0.0)
 
     for i, w in enumerate(net.a_weights):
-        add_arc(source, 1 + i, w)
-    for i, j in sorted(set(net.edges)):
-        add_arc(1 + i, 1 + na + j, big)
+        add_arc(source, i, w)
+    for i, j in net.edges:
+        add_arc(i, na + j, math.inf)
     for j, w in enumerate(net.b_weights):
-        add_arc(1 + na + j, sink, w)
+        add_arc(na + j, sink, w)
 
-    height = [0] * size
-    excess = [0.0] * size
-    count = [0] * (2 * size + 2)
-    height[source] = size
-    count[0] = size - 1
-    count[size] = 1
+    flow = 0.0
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, capacity in residual[u].items():
+                if capacity > 0.0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        send = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= send
+            residual[v][u] += send
+        flow += send
 
-    active: deque[int] = deque()
-
-    def push(arc: int, u: int) -> None:
-        v = head[arc]
-        send = min(excess[u], res[arc])
-        res[arc] -= send
-        res[arc ^ 1] += send
-        excess[u] -= send
-        excess[v] += send
-        if v not in (source, sink) and excess[v] == send and send > 0.0:
-            active.append(v)
-
-    for arc in adj[source]:
-        excess[source] += res[arc]
-    for arc in list(adj[source]):
-        push(arc, source)
-
-    while active:
-        u = active.popleft()
-        while excess[u] > 0.0:
-            pushed = False
-            for arc in adj[u]:
-                if res[arc] > 0.0 and height[u] == height[head[arc]] + 1:
-                    push(arc, u)
-                    pushed = True
-                    if excess[u] == 0.0:
-                        break
-            if excess[u] == 0.0:
-                break
-            if not pushed:
-                # relabel, with the gap heuristic
-                old = height[u]
-                floor = min(
-                    (height[head[arc]] for arc in adj[u] if res[arc] > 0.0),
-                    default=2 * size - 1,
-                )
-                height[u] = floor + 1
-                count[old] -= 1
-                count[height[u]] += 1
-                if count[old] == 0 and old < size:
-                    for v in range(size):
-                        if v not in (source, sink) and old < height[v] < size:
-                            count[height[v]] -= 1
-                            height[v] = size + 1
-                            count[height[v]] += 1
-                if height[u] > 2 * size - 1:
-                    break
-
-    flow = excess[sink]
-
-    # vertices that still reach the sink in the residual graph; the source
-    # cannot at a max flow, so it is excluded outright (float dust on its
-    # incident arcs must not open a path through it)
-    reaches = [False] * size
-    reaches[sink] = True
+    reaches = {sink}
     queue = deque([sink])
     while queue:
         v = queue.popleft()
-        for arc in adj[v]:
-            u = head[arc]
-            # arc^1 is the residual arc u -> v
-            if u != source and not reaches[u] and res[arc ^ 1] > 0.0:
-                reaches[u] = True
+        for u in residual[v]:
+            if u not in reaches and residual[u][v] > 0.0:
+                reaches.add(u)
                 queue.append(u)
 
-    cover_a = frozenset(i for i in range(na) if reaches[1 + i])
-    cover_b = frozenset(j for j in range(nb) if not reaches[1 + na + j])
+    cover_a = frozenset(i for i in range(na) if i in reaches)
+    cover_b = frozenset(j for j in range(nb) if na + j not in reaches)
     return flow, (cover_a, cover_b)

@@ -12,7 +12,6 @@ are independent and fully deterministic given their seeds.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -246,12 +245,13 @@ def run_chain(
 ) -> tuple[list[tuple[int, Tree]], list[TraceRow]]:
     """One chain; returns kept (iteration, tree) samples and the full trace."""
     state = initial_state(alignment, run, seed, initial, log_target)
+    kept = kept_iterations(run)
     samples: list[tuple[int, Tree]] = []
     trace: list[TraceRow] = []
     for step in range(1, run.iterations + 1):
         state, row = mh_step(state, alignment, run, log_target)
         trace.append(replace(row, chain=chain_index))
-        if step > run.burn_in and (step - run.burn_in - 1) % run.thin == 0:
+        if step in kept:
             samples.append((step, state.current))
     return samples, trace
 
@@ -261,43 +261,28 @@ def run(
     config: RunConfig,
     initial: Tree | None = None,
     log_target: Callable[[Tree], float] | None = None,
-    workers: int = 1,
 ) -> tuple[list[Tree], list[TraceRow]]:
     """Run all chains; samples and traces are concatenated in chain order.
 
-    Chain c uses seed proposal.seed + c.  Results are identical for any
-    worker count because aggregation always happens in chain order.
+    Chain c uses seed proposal.seed + c.
     """
     if alignment.taxa.size < 4:
         raise ValueError("need at least 4 taxa")
-    seeds = [config.proposal.seed + c for c in range(config.chains)]
-
-    def one(args):
-        index, seed = args
-        return run_chain(alignment, config, seed, index, initial, log_target)
-
-    jobs = list(enumerate(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(job) for job in jobs]
-
     samples: list[Tree] = []
     trace: list[TraceRow] = []
-    for chain_samples, chain_trace in results:
+    for index in range(config.chains):
+        seed = config.proposal.seed + index
+        chain_samples, chain_trace = run_chain(
+            alignment, config, seed, index, initial, log_target
+        )
         samples.extend(tree for _, tree in chain_samples)
         trace.extend(chain_trace)
     return samples, trace
 
 
-def kept_iterations(config: RunConfig) -> list[int]:
+def kept_iterations(config: RunConfig) -> range:
     """The iteration numbers whose states are kept, for one chain."""
-    return [
-        step
-        for step in range(1, config.iterations + 1)
-        if step > config.burn_in and (step - config.burn_in - 1) % config.thin == 0
-    ]
+    return range(config.burn_in + 1, config.iterations + 1, config.thin)
 
 
 def trace_csv_lines(trace) -> list[str]:

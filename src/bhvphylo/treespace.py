@@ -178,33 +178,6 @@ class Tree:
         )
 
 
-@dataclass(frozen=True)
-class Orthant:
-    """A compatible split set, identifying one orthant of tree space."""
-
-    splits: frozenset[Split]
-
-    def __post_init__(self):
-        object.__setattr__(self, "splits", frozenset(self.splits))
-        ordered = sorted(self.splits)
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if not compatible(a, b):
-                    raise ValueError(f"incompatible splits {a} and {b}")
-        if ordered:
-            n_leaves = ordered[0].n_leaves
-            if len(self.splits) > n_leaves - 3:
-                raise ValueError("too many splits for the leaf count")
-
-    @classmethod
-    def of_tree(cls, tree: Tree) -> "Orthant":
-        return cls(frozenset(tree.inner))
-
-    @property
-    def dim(self) -> int:
-        return len(self.splits)
-
-
 def validate(tree: Tree) -> list[str]:
     """Return all violated tree invariants (empty list when valid)."""
     problems = []
@@ -249,17 +222,6 @@ def trees_close(a: Tree, b: Tree, tol: float = 1e-12) -> bool:
     if any(abs(x - y) > tol for x, y in zip(a.leaf_lengths, b.leaf_lengths)):
         return False
     return all(abs(a.inner[s] - b.inner[s]) <= tol for s in a.inner)
-
-
-def example_tree_splits() -> frozenset[Split]:
-    """Splits of a 7-leaf example tree with three inner edges.
-
-    The tree groups leaves {1,2,3}, {4,5,6}, and {5,6}; it is non-binary
-    (a 7-leaf binary tree would have four inner edges).
-    """
-    return frozenset(
-        Split.of(side, 7) for side in ({1, 2, 3}, {4, 5, 6}, {5, 6})
-    )
 
 
 # ---------------------------------------------------------------------------

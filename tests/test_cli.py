@@ -150,28 +150,6 @@ class TestSample:
             second = (tmp_path / f"two{suffix}").read_bytes()
             assert first == second, suffix
 
-    def test_worker_threads_do_not_change_outputs(self, tmp_path, demo_fasta):
-        args = [
-            "sample",
-            str(demo_fasta),
-            "--seed",
-            "5",
-            "--chains",
-            "2",
-            "--iters",
-            "80",
-            "--burnin",
-            "10",
-            "--outgroup",
-            "O",
-        ]
-        main(args + ["--out", str(tmp_path / "serial"), "--workers", "1"])
-        main(args + ["--out", str(tmp_path / "threads"), "--workers", "2"])
-        for suffix in (".samples", ".trace.csv"):
-            assert (tmp_path / f"serial{suffix}").read_bytes() == (
-                tmp_path / f"threads{suffix}"
-            ).read_bytes()
-
     def test_ragged_alignment_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fasta"
         write_fasta(bad, [("a", "ACGT"), ("b", "ACG"), ("c", "ACGT"), ("d", "ACGT")])
@@ -312,6 +290,12 @@ class TestEstimators:
         )
         assert main(["mean", str(path), "--seed", "1"]) == EXIT_INPUT
 
+    def test_path_through_a_regular_file_is_input_error(self, tmp_path, capsys):
+        regular = tmp_path / "trees.nwk"
+        regular.write_text("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);\n")
+        assert main(["mean", str(regular / "x")]) == EXIT_INPUT
+        assert "error:" in capsys.readouterr().err
+
 
 class TestSummaryCommands:
     def test_consensus_constant(self, tmp_path, capsys):
@@ -342,7 +326,7 @@ class TestSummaryCommands:
         assert len(body) == 10 * len(distinct)
 
     def test_compare_runs(self, samples_file, capsys):
-        rc = main(["compare", f"{samples_file}.samples", "--seed", "1"])
+        rc = main(["compare", f"{samples_file}.samples", "--seed", "1", "--steps", "200"])
         assert rc == EXIT_OK
         assert "consensus" in capsys.readouterr().out
 

@@ -4,7 +4,6 @@ import pytest
 from bhvphylo.frechet import (
     EstimatorConfig,
     _iterates,
-    frechet_objective,
     mean,
     median,
     median_objective,
@@ -142,7 +141,7 @@ class TestMean:
             for i in range(1000 * count):
                 current, _ = next(walk)
                 if (i + 1) % count == 0:
-                    objectives.append(frechet_objective(trees, current))
+                    objectives.append(variance(trees, current))
             tail = objectives[len(objectives) // 2 :]
             for early, late in zip(tail, tail[1:]):
                 assert late <= early + 1e-6

@@ -51,16 +51,31 @@ def test_rejects_edges_out_of_range():
 
 
 def test_flow_equals_min_cover_on_random_networks(rng):
-    for trial in range(150):
+    def uniform(n):
+        return tuple(float(w) for w in rng.uniform(0.01, 1.0, n))
+
+    def equal(n):
+        # each side weighs 1.0, so "all of A" ties "all of B"
+        return (1.0 / n,) * n
+
+    def normalized(n):
+        # squared lengths over their sum, as geodesic._refine builds them
+        lengths = [float(l) for l in rng.uniform(0.01, 1.0, n)]
+        norm2 = sum(l * l for l in lengths)
+        return tuple(l * l / norm2 for l in lengths)
+
+    for trial in range(450):
+        weights = (uniform, equal, normalized)[trial % 3]
+        density = 1.0 if trial % 5 == 0 else 0.45
         na = int(rng.integers(1, 6))
         nb = int(rng.integers(1, 6))
-        a_weights = tuple(float(w) for w in rng.uniform(0.01, 1.0, na))
-        b_weights = tuple(float(w) for w in rng.uniform(0.01, 1.0, nb))
+        a_weights = weights(na)
+        b_weights = weights(nb)
         edges = tuple(
             (i, j)
             for i in range(na)
             for j in range(nb)
-            if rng.uniform() < 0.45
+            if rng.uniform() < density
         )
         net = FlowNetwork(a_weights, b_weights, edges)
         flow, cover = max_flow(net)

@@ -299,14 +299,6 @@ class TestRun:
         assert first[0] == second[0]
         assert first[1] == second[1]
 
-    def test_worker_count_does_not_change_results(self):
-        aln = empty_alignment()
-        config = prior_run_config(iterations=300, burn_in=50, chains=3)
-        serial = run(aln, config, workers=1)
-        threaded = run(aln, config, workers=3)
-        assert serial[0] == threaded[0]
-        assert serial[1] == threaded[1]
-
     def test_burn_in_all_but_one(self):
         aln = empty_alignment()
         config = prior_run_config(iterations=100, burn_in=99, chains=3)

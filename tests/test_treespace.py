@@ -6,14 +6,12 @@ import pytest
 from bhvphylo.treespace import (
     InvalidTreeError,
     NewickError,
-    Orthant,
     Split,
     TaxonTable,
     Tree,
     check,
     compatible,
     enumerate_binary_topologies,
-    example_tree_splits,
     load_samples,
     parse_newick,
     random_binary_splits,
@@ -24,6 +22,12 @@ from bhvphylo.treespace import (
 )
 
 from conftest import make_taxa, random_tree
+
+# a 7-leaf example tree grouping {1,2,3}, {4,5,6} and {5,6}; it is
+# non-binary (a 7-leaf binary tree would have four inner edges)
+EXAMPLE_TREE_SPLITS = frozenset(
+    Split.of(side, 7) for side in ({1, 2, 3}, {4, 5, 6}, {5, 6})
+)
 
 
 def four_intersections_compatible(a: Split, b: Split) -> bool:
@@ -94,16 +98,16 @@ class TestCompatible:
 class TestExampleSplits:
     def test_expected_splits(self):
         want = {Split.of({1, 2, 3}, 7), Split.of({4, 5, 6}, 7), Split.of({5, 6}, 7)}
-        assert example_tree_splits() == want
+        assert EXAMPLE_TREE_SPLITS == want
 
     def test_pairwise_compatible(self):
-        splits = sorted(example_tree_splits())
+        splits = sorted(EXAMPLE_TREE_SPLITS)
         for a, b in itertools.combinations(splits, 2):
             assert compatible(a, b)
 
     def test_non_binary_cardinality(self):
         # n = 6 leaves 0..6; a binary tree would have n - 2 = 4 inner edges
-        splits = example_tree_splits()
+        splits = EXAMPLE_TREE_SPLITS
         assert len(splits) == 3 <= 6 - 2
 
 
@@ -160,17 +164,6 @@ class TestTaxonTable:
         assert taxa.index("B") == 2
         with pytest.raises(KeyError):
             taxa.index("Z")
-
-
-class TestOrthant:
-    def test_of_tree(self, rng):
-        tree = random_tree(make_taxa(6), rng)
-        orthant = Orthant.of_tree(tree)
-        assert orthant.dim == len(tree.inner)
-
-    def test_rejects_incompatible(self):
-        with pytest.raises(ValueError):
-            Orthant({Split.of({1, 2}, 6), Split.of({2, 3}, 6)})
 
 
 class TestParseNewick:
