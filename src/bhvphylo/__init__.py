@@ -11,14 +11,13 @@ from .treespace import (
     serialize_newick,
     validate,
 )
-from .geodesic import GeodesicPath, SupportPair, distance, geodesic, interpolate
+from .geodesic import GeodesicPath, SupportPair, distance, interpolate
 from .maxflow import FlowNetwork, max_flow
 from .frechet import EstimatorConfig, mean, median, variance
 from .phylo_model import (
     Alignment,
     DirichletPrior,
     GammaPrior,
-    MonomialPoly,
     log_likelihood,
     log_posterior,
     log_prior,
@@ -37,7 +36,6 @@ __all__ = [
     "GammaPrior",
     "GeodesicPath",
     "InvalidTreeError",
-    "MonomialPoly",
     "NewickError",
     "ProposalConfig",
     "RunConfig",
@@ -49,7 +47,6 @@ __all__ = [
     "compatible",
     "consensus_majority",
     "distance",
-    "geodesic",
     "interpolate",
     "log_likelihood",
     "max_flow",

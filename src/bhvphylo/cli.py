@@ -174,7 +174,7 @@ def cmd_sample(args) -> int:
     }
 
     _write_lines(f"{args.out}.samples", sample_lines)
-    _write_lines(f"{args.out}.trace.csv", trace_csv_lines(trace))
+    _write_lines(f"{args.out}.trace.csv", trace_csv_lines(trace, config.iterations))
     with open(f"{args.out}.manifest.json", "w") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -201,47 +201,43 @@ def _estimator_config(args) -> EstimatorConfig:
     )
 
 
-def cmd_mean(args) -> int:
-    trees = load_samples(args.samples)
+def _load_trees(path) -> list[Tree]:
+    trees = load_samples(path)
     if not trees:
-        raise InputError(f"{args.samples}: no trees")
-    estimate = mean(trees, _estimator_config(args))
+        raise InputError(f"{path}: no trees")
+    return trees
+
+
+def _print_estimate(args, estimator) -> int:
+    trees = _load_trees(args.samples)
+    estimate = estimator(trees, _estimator_config(args))
     print(serialize_newick(estimate))
     print(f"# variance= {variance(trees, estimate):.17g}")
     return EXIT_OK
+
+
+def cmd_mean(args) -> int:
+    return _print_estimate(args, mean)
 
 
 def cmd_median(args) -> int:
-    trees = load_samples(args.samples)
-    if not trees:
-        raise InputError(f"{args.samples}: no trees")
-    estimate = median(trees, _estimator_config(args))
-    print(serialize_newick(estimate))
-    print(f"# variance= {variance(trees, estimate):.17g}")
-    return EXIT_OK
+    return _print_estimate(args, median)
 
 
 def cmd_consensus(args) -> int:
-    trees = load_samples(args.samples)
-    if not trees:
-        raise InputError(f"{args.samples}: no trees")
-    print(serialize_newick(consensus_majority(trees)))
+    print(serialize_newick(consensus_majority(_load_trees(args.samples))))
     return EXIT_OK
 
 
 def cmd_splits(args) -> int:
-    trees = load_samples(args.samples)
-    if not trees:
-        raise InputError(f"{args.samples}: no trees")
+    trees = _load_trees(args.samples)
     for line in stats_csv_lines(split_frequencies(trees, bins=args.bins)):
         print(line)
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    trees = load_samples(args.samples)
-    if not trees:
-        raise InputError(f"{args.samples}: no trees")
+    trees = _load_trees(args.samples)
     mean_tree = mean(trees, EstimatorConfig(iterations=args.steps, seed=args.seed))
     consensus = consensus_majority(trees)
     report = compare_mean_consensus(trees, mean_tree, consensus)

@@ -5,14 +5,16 @@ move (pick any edge, draw a new length from a normal centered at the
 current one, reflected at zero), otherwise a nearest-neighbor
 interchange that swaps one inner edge for one of the two alternative
 quartet resolutions at the same length.  Both moves have unit Hastings
-ratio, so acceptance only compares unnormalized log posteriors.  Chains
-are independent and fully deterministic given their seeds.
+ratio, so acceptance only compares unnormalized log posteriors.  The
+chain loop owns the random generator and passes it to each step, so a
+`ChainState` is a snapshot.  Chains are independent and fully
+deterministic given their seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -80,21 +82,13 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class ChainState:
+    """A snapshot of one chain: its current tree and that tree's log posterior."""
     current: Tree
     log_post: float
-    step_index: int = 0
-    accept_count: int = 0
-    rng_state: np.random.Generator = None
-
-    @property
-    def acceptance_rate(self) -> float:
-        return self.accept_count / self.step_index if self.step_index else 0.0
 
 
 @dataclass(frozen=True)
 class TraceRow:
-    chain: int
-    iteration: int
     log_posterior: float
     accepted: bool
     move: str
@@ -151,108 +145,80 @@ def _length_move(tree: Tree, rng, sigma: float) -> Tree:
     return tree.with_inner_length(split, float(length))
 
 
-def propose(state: ChainState, cfg: ProposalConfig) -> tuple[Tree, float, str]:
-    """Draw a candidate tree; returns (candidate, log_q_ratio, move kind).
+def propose(tree: Tree, rng: np.random.Generator, cfg: ProposalConfig) -> tuple[Tree, str]:
+    """Draw a candidate tree; returns (candidate, move kind).
 
-    Both branches are symmetric, so the log proposal ratio is always 0.
+    Both moves are symmetric, so acceptance needs no proposal ratio.
     """
-    tree = state.current
-    rng = state.rng_state
     if rng.uniform() < cfg.tau:
-        return _length_move(tree, rng, cfg.sigma), 0.0, LENGTH_MOVE
+        return _length_move(tree, rng, cfg.sigma), LENGTH_MOVE
     splits = tree.sorted_splits()
     if not splits:
-        return _length_move(tree, rng, cfg.sigma), 0.0, FALLBACK_MOVE
+        return _length_move(tree, rng, cfg.sigma), FALLBACK_MOVE
     edge = splits[int(rng.integers(len(splits)))]
     try:
         neighbors = nni_neighbors(tree, edge)
     except PolytomyError:
-        return _length_move(tree, rng, cfg.sigma), 0.0, FALLBACK_MOVE
-    return neighbors[int(rng.integers(2))], 0.0, NNI_MOVE
+        return _length_move(tree, rng, cfg.sigma), FALLBACK_MOVE
+    return neighbors[int(rng.integers(2))], NNI_MOVE
 
 
 def mh_step(
     state: ChainState,
-    alignment: Alignment,
-    run: RunConfig,
-    log_target: Callable[[Tree], float] | None = None,
+    rng: np.random.Generator,
+    cfg: ProposalConfig,
+    log_target: Callable[[Tree], float],
 ) -> tuple[ChainState, TraceRow]:
-    """One Metropolis-Hastings transition; the trace row reports the outcome."""
-    if log_target is None:
-        def log_target(tree):
-            return log_posterior(tree, alignment, run.dirichlet, run.gamma)
-    candidate, log_q_ratio, move = propose(state, run.proposal)
+    """One Metropolis-Hastings transition from `state`, drawing from `rng`;
+    the trace row reports the outcome."""
+    candidate, move = propose(state.current, rng, cfg)
     try:
         candidate_post = log_target(candidate)
     except ArithmeticError as exc:
         raise ChainAbortError(serialize_newick(candidate), exc) from exc
-    rng = state.rng_state
-    log_ratio = candidate_post - state.log_post + log_q_ratio
+    log_ratio = candidate_post - state.log_post
     accepted = log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio
     if accepted:
-        new_state = ChainState(
-            current=candidate,
-            log_post=candidate_post,
-            step_index=state.step_index + 1,
-            accept_count=state.accept_count + 1,
-            rng_state=rng,
-        )
-    else:
-        new_state = replace(state, step_index=state.step_index + 1)
-    row = TraceRow(
-        chain=-1,
-        iteration=new_state.step_index,
-        log_posterior=new_state.log_post,
-        accepted=accepted,
-        move=move,
+        state = ChainState(candidate, candidate_post)
+    return state, TraceRow(state.log_post, accepted, move)
+
+
+def initial_tree(alignment: Alignment, run: RunConfig, rng: np.random.Generator) -> Tree:
+    """Random chain start: uniform random binary topology, prior-drawn lengths."""
+    n_leaves = alignment.taxa.size
+    splits = random_binary_splits(n_leaves, rng)
+    leaf_lengths = tuple(
+        float(rng.gamma(run.gamma.shape, run.gamma.scale)) for _ in range(n_leaves)
     )
-    return new_state, row
-
-
-def initial_state(
-    alignment: Alignment,
-    run: RunConfig,
-    seed: int,
-    initial: Tree | None = None,
-    log_target: Callable[[Tree], float] | None = None,
-) -> ChainState:
-    """Seeded chain start: uniform random binary topology, prior-drawn lengths."""
-    rng = np.random.default_rng(seed)
-    if initial is None:
-        n_leaves = alignment.taxa.size
-        splits = random_binary_splits(n_leaves, rng)
-        leaf_lengths = tuple(
-            float(rng.gamma(run.gamma.shape, run.gamma.scale)) for _ in range(n_leaves)
-        )
-        inner = {
-            s: float(rng.gamma(run.gamma.shape, run.gamma.scale)) for s in sorted(splits)
-        }
-        initial = check(Tree(alignment.taxa, leaf_lengths, inner))
-    if log_target is None:
-        log_post = log_posterior(initial, alignment, run.dirichlet, run.gamma)
-    else:
-        log_post = log_target(initial)
-    return ChainState(current=initial, log_post=log_post, rng_state=rng)
+    inner = {
+        s: float(rng.gamma(run.gamma.shape, run.gamma.scale)) for s in sorted(splits)
+    }
+    return check(Tree(alignment.taxa, leaf_lengths, inner))
 
 
 def run_chain(
     alignment: Alignment,
     run: RunConfig,
     seed: int,
-    chain_index: int = 0,
     initial: Tree | None = None,
     log_target: Callable[[Tree], float] | None = None,
-) -> tuple[list[tuple[int, Tree]], list[TraceRow]]:
-    """One chain; returns kept (iteration, tree) samples and the full trace."""
-    state = initial_state(alignment, run, seed, initial, log_target)
+) -> tuple[list[Tree], list[TraceRow]]:
+    """One chain; returns the kept trees and the full trace.  The target
+    defaults to the posterior of `alignment` under the priors of `run`."""
+    if log_target is None:
+        def log_target(tree):
+            return log_posterior(tree, alignment, run.dirichlet, run.gamma)
+    rng = np.random.default_rng(seed)
+    tree = initial_tree(alignment, run, rng) if initial is None else initial
+    state = ChainState(tree, log_target(tree))
     kept = kept_iterations(run)
-    samples: list[tuple[int, Tree]] = []
+    samples: list[Tree] = []
     trace: list[TraceRow] = []
     for step in range(1, run.iterations + 1):
-        state, row = mh_step(state, alignment, run, log_target)
-        trace.append(replace(row, chain=chain_index))
+        state, row = mh_step(state, rng, run.proposal, log_target)
+        trace.append(row)
         if step in kept:
-            samples.append((step, state.current))
+            samples.append(state.current)
     return samples, trace
 
 
@@ -271,11 +237,10 @@ def run(
     samples: list[Tree] = []
     trace: list[TraceRow] = []
     for index in range(config.chains):
-        seed = config.proposal.seed + index
         chain_samples, chain_trace = run_chain(
-            alignment, config, seed, index, initial, log_target
+            alignment, config, config.proposal.seed + index, initial, log_target
         )
-        samples.extend(tree for _, tree in chain_samples)
+        samples.extend(chain_samples)
         trace.extend(chain_trace)
     return samples, trace
 
@@ -285,12 +250,14 @@ def kept_iterations(config: RunConfig) -> range:
     return range(config.burn_in + 1, config.iterations + 1, config.thin)
 
 
-def trace_csv_lines(trace) -> list[str]:
-    """Render trace rows in the CSV layout chain,iteration,log_posterior,accepted,move."""
+def trace_csv_lines(trace, iterations: int) -> list[str]:
+    """Render the trace of chains of `iterations` steps each, in chain
+    order, in the CSV layout chain,iteration,log_posterior,accepted,move."""
     lines = ["chain,iteration,log_posterior,accepted,move"]
-    for row in trace:
+    for index, row in enumerate(trace):
+        chain, step = divmod(index, iterations)
         lines.append(
-            f"{row.chain},{row.iteration},{row.log_posterior:.17g},"
+            f"{chain},{step + 1},{row.log_posterior:.17g},"
             f"{int(row.accepted)},{row.move}"
         )
     return lines

@@ -139,35 +139,6 @@ class GammaPrior:
 Exponents = tuple[int, int, int, int, int]
 
 
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Sparse polynomial over the five stationary probabilities.
-
-    Terms map an exponent vector (one exponent per symbol) to a real
-    coefficient.  Zero coefficients are dropped.
-    """
-
-    terms: dict[Exponents, float]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "terms", {e: c for e, c in self.terms.items() if c != 0.0}
-        )
-
-    def max_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
-    def evaluate(self, theta) -> float:
-        total = 0.0
-        for exps, coeff in self.terms.items():
-            value = coeff
-            for i, e in enumerate(exps):
-                if e:
-                    value *= theta[i] ** e
-            total += value
-        return total
-
-
 def mutation_prob(length: float) -> float:
     """Probability of at least one substitution on an edge (unit rate)."""
     if not length > 0:
@@ -198,11 +169,11 @@ def dirichlet_moment(counts, prior: DirichletPrior) -> float:
     return math.exp(log_dirichlet_moment(counts, prior))
 
 
-# Pruning internals work on bare term dicts to keep the sampler's inner
-# loop off the dataclass machinery.  A term's key packs its exponent
-# vector into one int, `width` bits per symbol, so multiplying two
-# monomials is one integer addition.  An exponent never exceeds the leaf
-# count, so width = n_leaves.bit_length() leaves no carry between symbols.
+# Polynomials are bare {exponents: coefficient} dicts.  Inside pruning a
+# term's key packs its exponent vector into one int, `width` bits per
+# symbol, so multiplying two monomials is one integer addition.  An
+# exponent never exceeds the leaf count, so width = n_leaves.bit_length()
+# leaves no carry between symbols.
 
 # status polynomials are scaled by a power of two (exactly) once their
 # largest coefficient falls below this
@@ -315,8 +286,9 @@ def _column_terms(root, column) -> tuple[dict, int]:
     return terms, scale
 
 
-def column_poly(tree: Tree, column) -> MonomialPoly:
-    """The column likelihood as a polynomial in the stationary distribution.
+def column_poly(tree: Tree, column) -> dict[Exponents, float]:
+    """The column likelihood as a polynomial in the stationary distribution,
+    {exponents: coefficient} with one exponent per symbol.
 
     A pruning pass from the leaves toward leaf 0's neighbor over the
     status of each vertex's mutation-free component; the root closes the
@@ -328,19 +300,8 @@ def column_poly(tree: Tree, column) -> MonomialPoly:
     if any(not 0 <= x < N_SYMBOLS for x in column):
         raise ValueError("symbol outside the alphabet")
     terms, scale = _column_terms(tree_topology(tree), column)
-    return MonomialPoly({e: math.ldexp(c, scale) for e, c in terms.items()})
-
-
-def _log_pattern_likelihood(
-    root, pattern, prior: DirichletPrior, column_index: int
-) -> float:
-    terms, scale = _column_terms(root, pattern)
-    if not terms:
-        raise ColumnLikelihoodError(column_index, "likelihood underflow to zero")
-    alpha = prior.alpha
-    logs = [math.log(c) + _log_moment(e, alpha) for e, c in terms.items()]
-    peak = max(logs)
-    return peak + math.log(sum(math.exp(l - peak) for l in logs)) + scale * _LOG2
+    scaled = {e: math.ldexp(c, scale) for e, c in terms.items()}
+    return {e: c for e, c in scaled.items() if c != 0.0}
 
 
 def log_likelihood(tree: Tree, alignment: Alignment, prior: DirichletPrior) -> float:
@@ -350,13 +311,16 @@ def log_likelihood(tree: Tree, alignment: Alignment, prior: DirichletPrior) -> f
     if not alignment.columns:
         return 0.0
     root = tree_topology(tree)
+    alpha = prior.alpha
     total = 0.0
-    first_column = {}
-    for index, column in enumerate(alignment.columns):
-        if column not in first_column:
-            first_column[column] = index
     for pattern, multiplicity in alignment.pattern_index.items():
-        value = _log_pattern_likelihood(root, pattern, prior, first_column[pattern])
+        terms, scale = _column_terms(root, pattern)
+        if not terms:
+            column = alignment.columns.index(pattern)
+            raise ColumnLikelihoodError(column, "likelihood underflow to zero")
+        logs = [math.log(c) + _log_moment(e, alpha) for e, c in terms.items()]
+        peak = max(logs)
+        value = peak + math.log(sum(math.exp(l - peak) for l in logs)) + scale * _LOG2
         total += multiplicity * value
     return total
 

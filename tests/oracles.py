@@ -135,6 +135,18 @@ def brute_force_min_cover(a_weights, b_weights, edges):
 # ---------------------------------------------------------------------------
 # Column likelihood by summation over inner-vertex states
 
+def evaluate_terms(terms: dict, theta) -> float:
+    """Value of a polynomial {exponents: coefficient} at the vector theta."""
+    total = 0.0
+    for exps, coeff in terms.items():
+        value = coeff
+        for i, e in enumerate(exps):
+            if e:
+                value *= theta[i] ** e
+        total += value
+    return total
+
+
 def _edge_prob(mut, theta, child_state, parent_state):
     prob = mut * theta[child_state]
     if child_state == parent_state:

@@ -330,6 +330,13 @@ class TestSummaryCommands:
         assert rc == EXIT_OK
         assert "consensus" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["mean", "median", "consensus", "splits", "compare"])
+    def test_samples_without_trees_is_input_error(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.samples"
+        path.write_text("# chain=0 iter=1\n# nothing kept\n")
+        assert main([command, str(path)]) == EXIT_INPUT
+        assert f"error: {path}: no trees" in capsys.readouterr().err
+
     def test_compare_steps_flag_sets_the_mean_budget(
         self, samples_file, capsys, monkeypatch
     ):

@@ -1,7 +1,9 @@
 import math
+import sys
 
 import pytest
 
+import bhvphylo
 from bhvphylo.geodesic import distance, geodesic, interpolate
 from bhvphylo.treespace import Split, Tree, validate
 
@@ -14,6 +16,13 @@ def t3_pair(length_a=0.3, length_b=0.4):
     s = Tree(taxa, (0.1,) * 4, {Split.of({1, 2}, 4): length_a})
     t = Tree(taxa, (0.1,) * 4, {Split.of({1, 3}, 4): length_b})
     return s, t
+
+
+def test_package_attribute_is_the_module():
+    # the package exports the module's names, not the function over it
+    assert bhvphylo.geodesic is sys.modules["bhvphylo.geodesic"]
+    assert bhvphylo.geodesic.geodesic is geodesic
+    assert "geodesic" not in bhvphylo.__all__
 
 
 class TestDistance:

@@ -12,7 +12,7 @@ from bhvphylo.mcmc import (
     PolytomyError,
     ProposalConfig,
     RunConfig,
-    initial_state,
+    initial_tree,
     kept_iterations,
     mh_step,
     nni_neighbors,
@@ -44,6 +44,17 @@ def prior_run_config(**overrides):
     )
     defaults.update(overrides)
     return RunConfig(**defaults)
+
+
+def flat(tree):
+    return 0.0
+
+
+def start(aln, config, seed, log_target=flat):
+    """A chain's first state and its generator, as run_chain makes them."""
+    rng = np.random.default_rng(seed)
+    tree = initial_tree(aln, config, rng)
+    return ChainState(tree, log_target(tree)), rng
 
 
 def reflected_normal_density(y, x, sigma):
@@ -119,18 +130,13 @@ class TestNniNeighbors:
 
 
 class TestPropose:
-    def chain_state(self, tree, seed=0):
-        return ChainState(
-            current=tree, log_post=0.0, rng_state=np.random.default_rng(seed)
-        )
-
     def test_high_tau_gives_length_moves(self, rng):
         tree = random_tree(make_taxa(5), rng)
-        state = self.chain_state(tree)
+        draws = np.random.default_rng(0)
         cfg = ProposalConfig(tau=1.0 - 1e-12, sigma=0.05, seed=0)
         for _ in range(100):
-            candidate, log_q, move = propose(state, cfg)
-            assert move == LENGTH_MOVE and log_q == 0.0
+            candidate, move = propose(tree, draws, cfg)
+            assert move == LENGTH_MOVE
             assert candidate.splits() == tree.splits()
             changed_leaf = sum(
                 a != b for a, b in zip(candidate.leaf_lengths, tree.leaf_lengths)
@@ -142,37 +148,35 @@ class TestPropose:
 
     def test_low_tau_gives_nni_moves(self, rng):
         tree = random_tree(make_taxa(5), rng)
-        state = self.chain_state(tree)
+        draws = np.random.default_rng(0)
         cfg = ProposalConfig(tau=1e-12, sigma=0.05, seed=0)
         for _ in range(100):
-            candidate, log_q, move = propose(state, cfg)
-            assert move == NNI_MOVE and log_q == 0.0
+            candidate, move = propose(tree, draws, cfg)
+            assert move == NNI_MOVE
             assert len(candidate.splits() ^ tree.splits()) == 2
 
     def test_fallback_without_inner_edges(self):
         taxa = make_taxa(5)
         tree = Tree(taxa, (0.1,) * 5, {})
-        state = self.chain_state(tree)
         cfg = ProposalConfig(tau=1e-12, sigma=0.05, seed=0)
-        _, _, move = propose(state, cfg)
+        _, move = propose(tree, np.random.default_rng(0), cfg)
         assert move == FALLBACK_MOVE
 
     def test_fallback_at_polytomy(self):
         taxa = make_taxa(6)
         tree = Tree(taxa, (0.1,) * 6, {Split.of({1, 2}, 6): 0.3})
-        state = self.chain_state(tree)
         cfg = ProposalConfig(tau=1e-12, sigma=0.05, seed=0)
-        _, _, move = propose(state, cfg)
+        _, move = propose(tree, np.random.default_rng(0), cfg)
         assert move == FALLBACK_MOVE
 
     def test_reflected_lengths_stay_positive(self, rng):
         taxa = make_taxa(4)
         split = Split.of({1, 2}, 4)
         tree = Tree(taxa, (0.01,) * 4, {split: 0.01})
-        state = self.chain_state(tree, seed=3)
+        draws = np.random.default_rng(3)
         cfg = ProposalConfig(tau=1.0 - 1e-12, sigma=0.05, seed=0)
         for _ in range(300):
-            candidate, _, _ = propose(state, cfg)
+            candidate, _ = propose(tree, draws, cfg)
             assert all(l > 0 for l in candidate.leaf_lengths)
             assert all(l > 0 for l in candidate.inner.values())
 
@@ -195,36 +199,52 @@ class TestPropose:
 class TestMhStep:
     def test_flat_target_accepts_everything(self):
         aln = empty_alignment()
-        config = prior_run_config()
-        state = initial_state(aln, config, seed=5, log_target=lambda t: 0.0)
-        for _ in range(50):
-            state, row = mh_step(state, aln, config, log_target=lambda t: 0.0)
-            assert row.accepted
-        assert state.accept_count == state.step_index == 50
+        config = prior_run_config(iterations=50, burn_in=0)
+        _, trace = run(aln, config, log_target=flat)
+        assert len(trace) == 50
+        assert all(row.accepted for row in trace)
 
     def test_posterior_failure_aborts_with_the_tree(self):
         aln = empty_alignment()
         config = prior_run_config()
-        state = initial_state(aln, config, seed=8, log_target=lambda t: 0.0)
+        state, rng = start(aln, config, seed=8)
 
         def broken(tree):
             raise ColumnLikelihoodError(2, "likelihood underflow to zero")
 
         with pytest.raises(ChainAbortError, match=r"column 2.*underflow") as info:
-            mh_step(state, aln, config, log_target=broken)
+            mh_step(state, rng, config.proposal, broken)
         assert info.value.newick.endswith(";")
 
     def test_cache_coherence(self):
+        # every state is kept, so row i reports the log posterior of sample i
         aln = empty_alignment()
+        config = prior_run_config(iterations=400, burn_in=0)
+        samples, trace = run(aln, config)
+        for step in range(0, 400, 100):
+            recomputed = log_posterior(
+                samples[step], aln, config.dirichlet, config.gamma
+            )
+            assert trace[step].log_posterior == pytest.approx(recomputed, abs=1e-9)
+
+    def test_state_is_a_snapshot(self):
+        # the generator lives outside the state, so stepping again from a
+        # saved state with a generator seeded alike repeats the step
+        taxa = make_taxa(5)
+        aln = Alignment.from_columns(taxa, [(0, 0, 1, 1, 2), (3, 3, 3, 4, 4)])
         config = prior_run_config()
-        state = initial_state(aln, config, seed=6)
-        for step in range(400):
-            state, _ = mh_step(state, aln, config)
-            if step % 100 == 0:
-                recomputed = log_posterior(
-                    state.current, aln, config.dirichlet, config.gamma
-                )
-                assert state.log_post == pytest.approx(recomputed, abs=1e-9)
+
+        def target(tree):
+            return log_posterior(tree, aln, config.dirichlet, config.gamma)
+
+        saved, _ = start(aln, config, seed=9, log_target=target)
+        outcomes = [
+            mh_step(saved, np.random.default_rng(seed), config.proposal, target)
+            for seed in (31, 31, 32)
+        ]
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0] != outcomes[2]
+        assert saved == start(aln, config, seed=9, log_target=target)[0]
 
     def test_acceptance_rate_matches_quadrature(self):
         # prior-only target: length moves accept with the analytic rate for
@@ -321,29 +341,30 @@ class TestRun:
     def test_chain_exchangeability(self):
         aln = empty_alignment()
         config = prior_run_config(iterations=200, burn_in=50)
-        lone = run_chain(aln, config, seed=77, chain_index=0)
-        relabeled = run_chain(aln, config, seed=77, chain_index=4)
-        assert [t for _, t in lone[0]] == [t for _, t in relabeled[0]]
         two_chain = run(aln, prior_run_config(iterations=200, burn_in=50, chains=2))
-        first_alone = run_chain(aln, config, seed=config.proposal.seed, chain_index=0)
-        second_alone = run_chain(aln, config, seed=config.proposal.seed + 1, chain_index=1)
-        expected = [t for _, t in first_alone[0]] + [t for _, t in second_alone[0]]
-        assert two_chain[0] == expected
+        first_alone = run_chain(aln, config, seed=config.proposal.seed)
+        second_alone = run_chain(aln, config, seed=config.proposal.seed + 1)
+        assert two_chain[0] == first_alone[0] + second_alone[0]
+        assert two_chain[1] == first_alone[1] + second_alone[1]
 
     def test_trace_csv_layout(self):
         aln = empty_alignment()
-        config = prior_run_config(iterations=5, burn_in=0)
+        config = prior_run_config(iterations=5, burn_in=0, chains=2)
         _, trace = run(aln, config)
-        lines = trace_csv_lines(trace)
+        lines = trace_csv_lines(trace, config.iterations)
         assert lines[0] == "chain,iteration,log_posterior,accepted,move"
+        assert len(lines) == 1 + 2 * 5
         fields = lines[1].split(",")
         assert fields[0] == "0" and fields[1] == "1"
         assert fields[3] in ("0", "1")
         assert fields[4] in (LENGTH_MOVE, NNI_MOVE, FALLBACK_MOVE)
+        assert lines[5].startswith("0,5,")
+        assert lines[6].startswith("1,1,")
+        assert lines[10].startswith("1,5,")
 
-    def test_initial_state_draws_from_prior(self):
+    def test_initial_tree_draws_from_prior(self):
         aln = empty_alignment(6)
         config = prior_run_config()
-        state = initial_state(aln, config, seed=3)
-        assert validate(state.current) == []
-        assert state.current.is_binary()
+        tree = initial_tree(aln, config, np.random.default_rng(3))
+        assert validate(tree) == []
+        assert tree.is_binary()

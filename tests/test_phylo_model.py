@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bhvphylo import phylo_model
 from bhvphylo.phylo_model import (
     Alignment,
     ColumnLikelihoodError,
@@ -21,6 +22,7 @@ from bhvphylo.treespace import Split, TaxonTable, Tree, tree_topology
 
 from conftest import make_taxa, random_tree
 from oracles import (
+    evaluate_terms,
     pruning_likelihood_vectorized,
     raw_theta_log_likelihood,
     state_enumeration_likelihood,
@@ -170,10 +172,10 @@ class TestColumnPoly:
         tree = Tree(taxa, (50.0,) * 4, {Split.of({1, 2}, 4): 50.0})
         column = (0, 1, 1, 3)
         poly = column_poly(tree, column)
-        assert poly.max_degree() <= 6
+        assert max(sum(e) for e in poly) <= 6
         theta = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
         want = theta[0] * theta[1] * theta[1] * theta[3]
-        assert poly.evaluate(theta) == pytest.approx(want, rel=1e-12)
+        assert evaluate_terms(poly, theta) == pytest.approx(want, rel=1e-12)
 
     def test_short_edges_force_identical_symbols(self, rng):
         taxa = make_taxa(5)
@@ -184,9 +186,9 @@ class TestColumnPoly:
             {s: 1e-11 for s in tree.inner},
         )
         theta = np.array([0.3, 0.25, 0.2, 0.15, 0.1])
-        conserved = column_poly(tiny, (2, 2, 2, 2, 2)).evaluate(theta)
+        conserved = evaluate_terms(column_poly(tiny, (2, 2, 2, 2, 2)), theta)
         assert conserved == pytest.approx(theta[2], rel=1e-8)
-        conflicting = column_poly(tiny, (0, 1, 2, 3, 4)).evaluate(theta)
+        conflicting = evaluate_terms(column_poly(tiny, (0, 1, 2, 3, 4)), theta)
         assert conflicting < 1e-30
 
     def test_matches_state_enumeration(self, rng):
@@ -197,7 +199,7 @@ class TestColumnPoly:
             column = random_column(rng, n_leaves)
             poly = column_poly(tree, column)
             theta = rng.dirichlet((0.5,) * 5)
-            assert poly.evaluate(theta) == pytest.approx(
+            assert evaluate_terms(poly, theta) == pytest.approx(
                 state_enumeration_likelihood(tree, column, theta), abs=1e-10
             )
 
@@ -209,11 +211,11 @@ class TestColumnPoly:
                 column = random_column(rng, n_leaves)
                 poly = column_poly(tree, column)
                 # theta_x's exponent counts components showing x: at most m_x
-                assert len(poly.terms) <= math.prod(
+                assert len(poly) <= math.prod(
                     column.count(x) + 1 for x in range(5)
                 )
                 # every component that contributes a factor holds a leaf
-                assert poly.max_degree() <= n_leaves
+                assert max(sum(e) for e in poly) <= n_leaves
 
     def test_rejects_bad_symbol(self, rng):
         tree = random_tree(make_taxa(4), rng)
@@ -328,6 +330,22 @@ class TestLogLikelihood:
         tree = random_tree(taxa, rng)
         aln = Alignment.from_columns(taxa, [])
         assert log_likelihood(tree, aln, DirichletPrior()) == 0.0
+
+    def test_underflow_names_the_first_column_of_its_pattern(self, rng, monkeypatch):
+        taxa = make_taxa(4)
+        tree = random_tree(taxa, rng)
+        bad = (1, 1, 2, 2)
+        # bad is the third pattern, first seen at column 3 and again at 4
+        columns = [(0, 0, 0, 0), (0, 0, 0, 0), (3, 3, 3, 4), bad, bad]
+        aln = Alignment.from_columns(taxa, columns)
+        real = phylo_model._column_terms
+
+        def underflowing(root, column):
+            return ({}, 0) if column == bad else real(root, column)
+
+        monkeypatch.setattr(phylo_model, "_column_terms", underflowing)
+        with pytest.raises(ColumnLikelihoodError, match="^column 3: likelihood underflow"):
+            log_likelihood(tree, aln, DirichletPrior())
 
 
 class TestRawThetaOracle:

@@ -158,7 +158,7 @@ class TestCompareMeanConsensus:
     def test_sixty_forty_shortens_the_mean_edge(self):
         samples = spider_samples({(1, 2): 60, (1, 3): 40}, length=0.5)
         consensus = consensus_majority(samples)
-        frechet = mean(samples, EstimatorConfig(seed=3))
+        frechet = mean(samples, EstimatorConfig(seed=3, iterations=10_000))
         split = Split.of({1, 2}, 4)
         assert consensus.inner[split] == pytest.approx(0.5, abs=1e-12)
         # minimizer of 0.6 (x - 0.5)^2 + 0.4 (x + 0.5)^2 on the spider
@@ -170,7 +170,7 @@ class TestCompareMeanConsensus:
     def test_polytomy_splits_show_up_as_mean_only(self):
         samples = spider_samples({(1, 2): 40, (1, 3): 35, (2, 3): 25}, length=0.5)
         consensus = consensus_majority(samples)
-        frechet = mean(samples, EstimatorConfig(seed=4))
+        frechet = mean(samples, EstimatorConfig(seed=4, iterations=10_000))
         report = compare_mean_consensus(samples, frechet, consensus)
         assert consensus.inner == {}
         if frechet.inner:
