@@ -118,9 +118,3 @@ def variance(trees, at: Tree) -> float:
         raise ValueError("no input trees")
     return sum(distance(at, t) ** 2 for t in trees) / len(trees)
 
-
-def median_objective(trees, at: Tree) -> float:
-    """The median objective (1/K) sum of distances, evaluated at `at`."""
-    if not trees:
-        raise ValueError("no input trees")
-    return sum(distance(at, t) for t in trees) / len(trees)

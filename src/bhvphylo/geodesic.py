@@ -12,7 +12,13 @@ is refined by solving a minimum-weight vertex cover on the bipartite
 incompatibility graph, with weights given by squared lengths normalized
 per side.  A pair is split whenever a cover of weight strictly below
 one exists; at termination the ratio sequence is nondecreasing and the
-path is the geodesic.
+path is the geodesic.  A pair with one split on either side is final
+without a cut, because each half of a split pair needs at least one
+split of each tree; no max flow is run for it.
+
+Both trees are over one taxon table, so conflicts are tested on the
+split masks directly: two masks normalized away from leaf 0 conflict
+exactly when they meet and neither contains the other.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from .maxflow import FlowNetwork, max_flow
-from .treespace import Split, Tree, compatible
+from .treespace import Split, Tree
 
 _REFINE_TOL = 1e-12
 
@@ -102,30 +108,34 @@ def _refine(
     """Split (A, B) on minimum covers until none weighs less than one."""
     norm_a2 = sum(l * l for _, l in a_items)
     norm_b2 = sum(l * l for _, l in b_items)
-    edges = [
-        (i, j)
-        for i, (a, _) in enumerate(a_items)
-        for j, (b, _) in enumerate(b_items)
-        if not compatible(a, b)
-    ]
-    net = FlowNetwork(
-        tuple(l * l / norm_a2 for _, l in a_items),
-        tuple(l * l / norm_b2 for _, l in b_items),
-        tuple(edges),
-    )
-    _, (cover_a, cover_b) = max_flow(net)
-    weight = sum(net.a_weights[i] for i in cover_a) + sum(
-        net.b_weights[j] for j in cover_b
-    )
-    if weight < 1.0 - _REFINE_TOL:
-        c1 = [a_items[i] for i in range(len(a_items)) if i in cover_a]
-        c2 = [a_items[i] for i in range(len(a_items)) if i not in cover_a]
-        d1 = [b_items[j] for j in range(len(b_items)) if j not in cover_b]
-        d2 = [b_items[j] for j in range(len(b_items)) if j in cover_b]
-        if c1 and c2 and d1 and d2:
-            _refine(c1, d1, out)
-            _refine(c2, d2, out)
-            return
+    # a cut must leave splits of both trees in both halves, so a side
+    # holding one split ends the refinement without a max flow
+    if len(a_items) > 1 and len(b_items) > 1:
+        edges = []
+        for i, (a, _) in enumerate(a_items):
+            x = a.bits
+            for j, (b, _) in enumerate(b_items):
+                meet = x & b.bits
+                if meet and meet != x and meet != b.bits:
+                    edges.append((i, j))
+        net = FlowNetwork(
+            tuple(l * l / norm_a2 for _, l in a_items),
+            tuple(l * l / norm_b2 for _, l in b_items),
+            tuple(edges),
+        )
+        _, (cover_a, cover_b) = max_flow(net)
+        weight = sum(net.a_weights[i] for i in cover_a) + sum(
+            net.b_weights[j] for j in cover_b
+        )
+        if weight < 1.0 - _REFINE_TOL:
+            c1 = [a_items[i] for i in range(len(a_items)) if i in cover_a]
+            c2 = [a_items[i] for i in range(len(a_items)) if i not in cover_a]
+            d1 = [b_items[j] for j in range(len(b_items)) if j not in cover_b]
+            d2 = [b_items[j] for j in range(len(b_items)) if j in cover_b]
+            if c1 and c2 and d1 and d2:
+                _refine(c1, d1, out)
+                _refine(c2, d2, out)
+                return
     out.append(
         SupportPair(
             frozenset(s for s, _ in a_items),
@@ -136,27 +146,38 @@ def _refine(
     )
 
 
+def _bits(split: Split) -> int:
+    return split.bits
+
+
 def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     """Compute the geodesic path between two trees over the same taxa."""
     _check_taxa(s, t)
     leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
 
-    s_only = sorted(set(s.inner) - set(t.inner))
-    t_only = sorted(set(t.inner) - set(s.inner))
-    shared = sorted(set(s.inner) & set(t.inner))
+    s_splits, t_splits = set(s.inner), set(t.inner)
+    s_only = sorted(s_splits - t_splits, key=_bits)
+    t_only = sorted(t_splits - s_splits, key=_bits)
+    shared = sorted(s_splits & t_splits, key=_bits)
 
     # Splits of one tree compatible with everything on the other side do
     # not interact with the conflict: they travel as common edges whose
     # partner length is zero.
-    absorbed_s = [a for a in s_only if all(compatible(a, b) for b in t_only)]
-    absorbed_t = [b for b in t_only if all(compatible(a, b) for a in s_only)]
+    s_conflicts = [False] * len(s_only)
+    t_conflicts = [False] * len(t_only)
+    for i, a in enumerate(s_only):
+        x = a.bits
+        for j, b in enumerate(t_only):
+            meet = x & b.bits
+            if meet and meet != x and meet != b.bits:
+                s_conflicts[i] = t_conflicts[j] = True
     common = [(c, s.inner[c], t.inner[c]) for c in shared]
-    common += [(a, s.inner[a], 0.0) for a in absorbed_s]
-    common += [(b, 0.0, t.inner[b]) for b in absorbed_t]
-    common.sort(key=lambda entry: entry[0])
+    common += [(a, s.inner[a], 0.0) for a, hit in zip(s_only, s_conflicts) if not hit]
+    common += [(b, 0.0, t.inner[b]) for b, hit in zip(t_only, t_conflicts) if not hit]
+    common.sort(key=lambda entry: entry[0].bits)
 
-    a_rest = [a for a in s_only if a not in set(absorbed_s)]
-    b_rest = [b for b in t_only if b not in set(absorbed_t)]
+    a_rest = [a for a, hit in zip(s_only, s_conflicts) if hit]
+    b_rest = [b for b, hit in zip(t_only, t_conflicts) if hit]
 
     # The common splits form a laminar family that cuts the conflict into
     # independent components; every incompatibility stays inside one

@@ -35,3 +35,16 @@ def spider_tree(ray: set, length: float, n_leaves: int = 4, leaf_length: float =
     taxa = make_taxa(n_leaves)
     inner = {Split.of(ray, n_leaves): length} if ray else {}
     return Tree(taxa, (leaf_length,) * n_leaves, inner)
+
+
+def assert_same_path(path, want):
+    """Same common splits, support sides and leaf deltas, with bit-equal floats."""
+    assert path.source == want.source and path.target == want.target
+    assert [(c, ls.hex(), lt.hex()) for c, ls, lt in path.common] == [
+        (c, ls.hex(), lt.hex()) for c, ls, lt in want.common
+    ]
+    assert [
+        (p.a_side, p.b_side, p.a_norm.hex(), p.b_norm.hex()) for p in path.supports
+    ] == [(p.a_side, p.b_side, p.a_norm.hex(), p.b_norm.hex()) for p in want.supports]
+    assert [d.hex() for d in path.leaf_deltas] == [d.hex() for d in want.leaf_deltas]
+    assert path.distance().hex() == want.distance().hex()

@@ -4,17 +4,25 @@ Nothing here shares code paths with the implementations under test: the
 distance oracle enumerates ordered split partitions directly, the cover
 oracle enumerates vertex subsets, the likelihood oracles sum over inner
 vertex states numerically, and the Euclidean estimators work on plain
-length vectors.
+length vectors.  The reference geodesic is the earlier refinement kept
+verbatim (per-pair `compatible`, a max flow for every network and a
+dict-of-dicts residual graph), so the fast path must reproduce it bit
+for bit.  `median_objective` is the exception: it sums the program's own
+distances, for tests that compare an estimate's objective with an
+oracle's.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
-from bhvphylo.treespace import Tree, compatible, tree_topology
+from bhvphylo.geodesic import GeodesicPath, SupportPair, distance
+from bhvphylo.maxflow import FlowNetwork
+from bhvphylo.treespace import Split, Tree, compatible, tree_topology
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +119,156 @@ def brute_force_distance(s: Tree, t: Tree) -> float:
                     ]
                     best = min(best, canonical_length(pairs))
     return math.sqrt(base + best)
+
+
+# ---------------------------------------------------------------------------
+# Reference geodesic: support refinement with a max flow on every network
+
+_REFINE_TOL = 1e-12
+
+
+def reference_max_flow(net: FlowNetwork):
+    """(flow, (cover_a, cover_b)) by Edmonds-Karp on a dict-of-dicts residual."""
+    na, nb = len(net.a_weights), len(net.b_weights)
+    # vertices: 0..na-1 first side, na..na+nb-1 second side, then source, sink
+    source, sink = na + nb, na + nb + 1
+    residual: list[dict[int, float]] = [{} for _ in range(na + nb + 2)]
+
+    def add_arc(u: int, v: int, capacity: float) -> None:
+        residual[u][v] = capacity
+        residual[v].setdefault(u, 0.0)
+
+    for i, w in enumerate(net.a_weights):
+        add_arc(source, i, w)
+    for i, j in net.edges:
+        add_arc(i, na + j, math.inf)
+    for j, w in enumerate(net.b_weights):
+        add_arc(na + j, sink, w)
+
+    flow = 0.0
+    while True:
+        parent = {source: source}
+        queue = deque([source])
+        while queue and sink not in parent:
+            u = queue.popleft()
+            for v, capacity in residual[u].items():
+                if capacity > 0.0 and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        path = []
+        v = sink
+        while v != source:
+            path.append((parent[v], v))
+            v = parent[v]
+        send = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= send
+            residual[v][u] += send
+        flow += send
+
+    reaches = {sink}
+    queue = deque([sink])
+    while queue:
+        v = queue.popleft()
+        for u in residual[v]:
+            if u not in reaches and residual[u][v] > 0.0:
+                reaches.add(u)
+                queue.append(u)
+
+    cover_a = frozenset(i for i in range(na) if i in reaches)
+    cover_b = frozenset(j for j in range(nb) if na + j not in reaches)
+    return flow, (cover_a, cover_b)
+
+
+def reference_refine(a_items, b_items, out) -> None:
+    """Split (A, B) on minimum covers until none weighs less than one."""
+    norm_a2 = sum(l * l for _, l in a_items)
+    norm_b2 = sum(l * l for _, l in b_items)
+    edges = [
+        (i, j)
+        for i, (a, _) in enumerate(a_items)
+        for j, (b, _) in enumerate(b_items)
+        if not compatible(a, b)
+    ]
+    net = FlowNetwork(
+        tuple(l * l / norm_a2 for _, l in a_items),
+        tuple(l * l / norm_b2 for _, l in b_items),
+        tuple(edges),
+    )
+    _, (cover_a, cover_b) = reference_max_flow(net)
+    weight = sum(net.a_weights[i] for i in cover_a) + sum(
+        net.b_weights[j] for j in cover_b
+    )
+    if weight < 1.0 - _REFINE_TOL:
+        c1 = [a_items[i] for i in range(len(a_items)) if i in cover_a]
+        c2 = [a_items[i] for i in range(len(a_items)) if i not in cover_a]
+        d1 = [b_items[j] for j in range(len(b_items)) if j not in cover_b]
+        d2 = [b_items[j] for j in range(len(b_items)) if j in cover_b]
+        if c1 and c2 and d1 and d2:
+            reference_refine(c1, d1, out)
+            reference_refine(c2, d2, out)
+            return
+    out.append(
+        SupportPair(
+            frozenset(s for s, _ in a_items),
+            frozenset(s for s, _ in b_items),
+            math.sqrt(norm_a2),
+            math.sqrt(norm_b2),
+        )
+    )
+
+
+def reference_geodesic(s: Tree, t: Tree) -> GeodesicPath:
+    """The geodesic path, as the fast path computed it before its rewrite."""
+    if s.taxa != t.taxa:
+        raise ValueError("trees are over different taxon tables")
+    leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
+
+    s_only = sorted(set(s.inner) - set(t.inner))
+    t_only = sorted(set(t.inner) - set(s.inner))
+    shared = sorted(set(s.inner) & set(t.inner))
+
+    absorbed_s = [a for a in s_only if all(compatible(a, b) for b in t_only)]
+    absorbed_t = [b for b in t_only if all(compatible(a, b) for a in s_only)]
+    common = [(c, s.inner[c], t.inner[c]) for c in shared]
+    common += [(a, s.inner[a], 0.0) for a in absorbed_s]
+    common += [(b, 0.0, t.inner[b]) for b in absorbed_t]
+    common.sort(key=lambda entry: entry[0])
+
+    a_rest = [a for a in s_only if a not in set(absorbed_s)]
+    b_rest = [b for b in t_only if b not in set(absorbed_t)]
+
+    cut_masks = sorted((c.bits for c, _, _ in common), key=int.bit_count)
+
+    def region(split: Split) -> int:
+        for mask in cut_masks:
+            if split.bits & mask == split.bits and split.bits != mask:
+                return mask
+        return -1
+
+    regions: dict[int, tuple[list, list]] = {}
+    for a in a_rest:
+        regions.setdefault(region(a), ([], []))[0].append((a, s.inner[a]))
+    for b in b_rest:
+        regions.setdefault(region(b), ([], []))[1].append((b, t.inner[b]))
+
+    supports: list[SupportPair] = []
+    for key in sorted(regions):
+        a_items, b_items = regions[key]
+        if not a_items or not b_items:
+            raise AssertionError("conflict component with an empty side")
+        reference_refine(a_items, b_items, supports)
+    supports.sort(key=lambda p: (p.ratio, sorted(sp.bits for sp in p.a_side)))
+
+    return GeodesicPath(
+        source=s,
+        target=t,
+        common=tuple(common),
+        supports=tuple(supports),
+        leaf_deltas=leaf_deltas,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +450,14 @@ def raw_theta_log_likelihood(tree: Tree, columns, alpha) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Euclidean estimators on single-orthant tree sets
+# Estimator objectives and Euclidean estimators on single-orthant tree sets
+
+def median_objective(trees, at: Tree) -> float:
+    """The median objective (1/K) sum of distances, evaluated at `at`."""
+    if not trees:
+        raise ValueError("no input trees")
+    return sum(distance(at, t) for t in trees) / len(trees)
+
 
 def length_vector(tree: Tree, splits) -> np.ndarray:
     return np.array(

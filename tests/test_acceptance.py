@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from bhvphylo.frechet import EstimatorConfig, mean, median, median_objective
+from bhvphylo.frechet import EstimatorConfig, mean, median
 from bhvphylo.geodesic import distance, geodesic, interpolate
 from bhvphylo.mcmc import ProposalConfig, RunConfig, run
 from bhvphylo.phylo_model import (
@@ -30,6 +30,7 @@ from oracles import (
     evaluate_terms,
     euclidean_mean_tree_vectors,
     length_vector,
+    median_objective,
     pruning_likelihood_vectorized,
     state_enumeration_likelihood,
     weiszfeld_median,

@@ -6,14 +6,18 @@ from bhvphylo.frechet import (
     _iterates,
     mean,
     median,
-    median_objective,
     variance,
 )
 from bhvphylo.geodesic import distance, interpolate
 from bhvphylo.treespace import Split, Tree
 
 from conftest import make_taxa, random_tree, spider_tree
-from oracles import euclidean_mean_tree_vectors, length_vector, weiszfeld_median
+from oracles import (
+    euclidean_mean_tree_vectors,
+    length_vector,
+    median_objective,
+    weiszfeld_median,
+)
 
 
 def single_orthant_set(rng, count=30, low=0.05, high=0.3):

@@ -1,14 +1,25 @@
+import itertools
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import bhvphylo
-from bhvphylo.geodesic import distance, geodesic, interpolate
+from bhvphylo import frechet
+from bhvphylo import geodesic as geodesic_module
+from bhvphylo.frechet import EstimatorConfig
+from bhvphylo.geodesic import _refine, distance, geodesic, interpolate
+from bhvphylo.mcmc import nni_neighbors
 from bhvphylo.treespace import Split, Tree, validate
 
-from conftest import make_taxa, random_tree, spider_tree
-from oracles import brute_force_distance
+from conftest import assert_same_path, make_taxa, random_tree, spider_tree
+from oracles import (
+    brute_force_distance,
+    brute_force_min_cover,
+    reference_geodesic,
+    reference_refine,
+)
 
 
 def t3_pair(length_a=0.3, length_b=0.4):
@@ -215,3 +226,287 @@ class TestInterpolate:
         assert distance(ray, origin) == pytest.approx(0.8, abs=1e-12)
         halfway = interpolate(ray, origin, 0.5)
         assert halfway.inner[Split.of({1, 2}, 4)] == pytest.approx(0.4, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The bitmask refinement against the reference kept in oracles.py
+
+
+def jittered(tree, rng, spread=0.25):
+    return Tree(
+        tree.taxa,
+        tuple(l * float(np.exp(rng.normal(0.0, spread))) for l in tree.leaf_lengths),
+        {s: l * float(np.exp(rng.normal(0.0, spread))) for s, l in tree.inner.items()},
+    )
+
+
+def nni_walk(tree, moves, rng):
+    for _ in range(moves):
+        edges = sorted(tree.inner)
+        edge = edges[int(rng.integers(len(edges)))]
+        tree = nni_neighbors(tree, edge)[int(rng.integers(2))]
+    return tree
+
+
+def equal_lengths(tree, length=0.1):
+    return Tree(tree.taxa, tree.leaf_lengths, {s: length for s in tree.inner})
+
+
+def posterior_like_set(taxa, rng, trees=12):
+    """A few dominant topologies and NNI neighbours of them, lengths jittered."""
+    backbone = random_tree(taxa, rng)
+    dominants = [backbone] + [nni_walk(backbone, 20, rng) for _ in range(3)]
+    out = []
+    for k in range(trees):
+        base = dominants[k % len(dominants)]
+        out.append(jittered(nni_walk(base, int(rng.integers(0, 4)), rng), rng))
+    return out
+
+
+def reference_pairs(rng):
+    """Pairs at 8, 16 and 32 taxa: random, NNI neighbours, equal lengths."""
+    pairs = []
+    for n in (8, 16, 32):
+        taxa = make_taxa(n)
+        for _ in range(35):
+            pairs.append(
+                (
+                    random_tree(taxa, rng, drop_probability=0.2),
+                    random_tree(taxa, rng, drop_probability=0.2),
+                )
+            )
+        trees = posterior_like_set(taxa, rng)
+        pairs += list(itertools.combinations(trees, 2))[:45]
+        for s, t in pairs[-30:]:
+            pairs.append((equal_lengths(s), equal_lengths(t, 0.2)))
+    return pairs
+
+
+class TestMatchesReference:
+    def test_identical_paths_on_random_and_posterior_like_pairs(self, rng):
+        pairs = reference_pairs(rng)
+        assert len(pairs) >= 300
+        for s, t in pairs:
+            assert_same_path(geodesic(s, t), reference_geodesic(s, t))
+
+    def test_identical_paths_on_estimator_iterates(self, rng, monkeypatch):
+        # the pairs a proximal walk meets: iterates on orthant faces and
+        # with shrunken splits, against posterior-like inputs
+        seen = []
+        real = frechet.geodesic
+
+        def recording(s, t):
+            seen.append((s, t))
+            return real(s, t)
+
+        monkeypatch.setattr(frechet, "geodesic", recording)
+        trees = posterior_like_set(make_taxa(16), rng)
+        frechet.mean(trees, EstimatorConfig(iterations=40, seed=3))
+        frechet.median(trees, EstimatorConfig(iterations=40, seed=4))
+        assert len(seen) == 80
+        for s, t in seen:
+            assert_same_path(geodesic(s, t), reference_geodesic(s, t))
+
+
+class TestOneSplitSide:
+    def test_no_max_flow_when_a_side_holds_one_split(self, rng, monkeypatch):
+        sizes = []
+        real = geodesic_module.max_flow
+
+        def counting(net):
+            sizes.append((len(net.a_weights), len(net.b_weights)))
+            return real(net)
+
+        monkeypatch.setattr(geodesic_module, "max_flow", counting)
+        s, t = t3_pair()
+        path = geodesic(s, t)
+        assert sizes == []
+        assert [(p.a_side, p.b_side) for p in path.supports] == [
+            (frozenset(s.inner), frozenset(t.inner))
+        ]
+        for n in (5, 8, 16):
+            taxa = make_taxa(n)
+            for _ in range(30):
+                s = random_tree(taxa, rng, drop_probability=0.2)
+                t = random_tree(taxa, rng, drop_probability=0.2)
+                assert_same_path(geodesic(s, t), reference_geodesic(s, t))
+        assert sizes, "no network with two splits on both sides was drawn"
+        assert all(na > 1 and nb > 1 for na, nb in sizes)
+
+    def test_one_by_k_pairs_are_emitted_unsplit(self, rng, monkeypatch):
+        def no_max_flow(net):
+            raise AssertionError("max flow run for a one-split side")
+
+        monkeypatch.setattr(geodesic_module, "max_flow", no_max_flow)
+        taxa = make_taxa(16)
+        for trial in range(40):
+            splits = sorted(random_tree(taxa, rng).inner)
+            k = int(rng.integers(1, 6))
+            items = [(sp, float(rng.uniform(0.05, 1.0))) for sp in splits[: k + 1]]
+            one, many = items[:1], items[1:]
+            a_items, b_items = (one, many) if trial % 2 else (many, one)
+            got, want = [], []
+            _refine(a_items, b_items, got)
+            reference_refine(a_items, b_items, want)
+            assert got == want
+            assert len(got) == 1
+
+    def test_no_minimum_cover_of_a_one_by_k_network_splits_it(self, rng):
+        # a pair splits only on a minimum cover whose four parts -- A in
+        # and out of the cover, B out of and in it -- are all nonempty
+        for trial in range(60):
+            k = int(rng.integers(1, 6))
+            lengths = rng.uniform(0.05, 1.0, k)
+            many = tuple(float(l * l / (lengths**2).sum()) for l in lengths)
+            edges = [(0, j) for j in range(k) if trial % 3 == 0 or rng.uniform() < 0.6]
+            if trial % 2:
+                a_weights, b_weights = (1.0,), many
+            else:
+                a_weights, b_weights = many, (1.0,)
+                edges = [(j, i) for i, j in edges]
+            best, _ = brute_force_min_cover(a_weights, b_weights, edges)
+            na, nb = len(a_weights), len(b_weights)
+            for a_mask in range(1 << na):
+                for b_mask in range(1 << nb):
+                    if not all(a_mask >> i & 1 or b_mask >> j & 1 for i, j in edges):
+                        continue
+                    weight = sum(a_weights[i] for i in range(na) if a_mask >> i & 1)
+                    weight += sum(b_weights[j] for j in range(nb) if b_mask >> j & 1)
+                    if weight > best + 1e-12:
+                        continue
+                    parts = (a_mask, ~a_mask & ((1 << na) - 1),
+                             ~b_mask & ((1 << nb) - 1), b_mask)
+                    assert not all(parts), (a_weights, b_weights, edges)
+
+
+def complete_conflict_pair(n, a_length, b_length, leaf_length=0.1):
+    """Two caterpillars whose n-3 inner splits all conflict pairwise.
+
+    The first tree holds the prefixes {1..k}; the second the nested sets
+    that hold leaves 1 and n-1 but not leaf 2.  Every pair meets in leaf 1
+    and neither contains the other, so the network is complete.
+    """
+    taxa = make_taxa(n)
+    a_splits = [Split.of(range(1, k + 1), n) for k in range(2, n - 1)]
+    b_splits = [
+        Split.of([1] + list(range(n - k + 1, n)), n) for k in range(2, n - 1)
+    ]
+    s = Tree(taxa, (leaf_length,) * n, {sp: a_length for sp in a_splits})
+    t = Tree(taxa, (leaf_length,) * n, {sp: b_length for sp in b_splits})
+    return s, t
+
+
+def matching_pair(a_lengths, b_lengths):
+    """Trees whose conflict network is a perfect matching: a_i meets only b_i.
+
+    Split i of the first tree is {3i+1, 3i+2} and of the second
+    {3i+2, 3i+3}; splits of different i are disjoint.  Nothing is shared,
+    so all of them form one component.
+    """
+    n = 3 * len(a_lengths) + 1
+    taxa = make_taxa(n)
+    s = Tree(
+        taxa,
+        (0.1,) * n,
+        {Split.of({3 * i + 1, 3 * i + 2}, n): l for i, l in enumerate(a_lengths)},
+    )
+    t = Tree(
+        taxa,
+        (0.1,) * n,
+        {Split.of({3 * i + 2, 3 * i + 3}, n): l for i, l in enumerate(b_lengths)},
+    )
+    return s, t
+
+
+TIE_LENGTHS = (0.01, 0.1, 0.2, 0.3, 0.7, 1.0 / 3.0)
+
+
+def proportional_matchings(rng):
+    """Matching pairs with b_i = c * a_i: every pair has the same ratio, so
+    the minimum cover weighs exactly 1.0 and the geodesic is one pair."""
+    pairs = []
+    for k in range(2, 7):
+        for _ in range(12):
+            a_lengths = [float(l) for l in rng.choice(TIE_LENGTHS, k)]
+            c = float(rng.choice((0.1, 1.0 / 3.0, 1.0, 3.0, 7.0)))
+            pairs.append(matching_pair(a_lengths, [c * l for l in a_lengths]))
+    return pairs
+
+
+def permuted(tree, rng):
+    items = list(tree.inner.items())
+    order = rng.permutation(len(items))
+    return Tree(tree.taxa, tree.leaf_lengths, dict(items[i] for i in order))
+
+
+def cone_distance(s, t):
+    """Length through the star tree, when nothing is shared and leaves agree."""
+    return math.sqrt(sum(l * l for l in s.inner.values())) + math.sqrt(
+        sum(l * l for l in t.inner.values())
+    )
+
+
+class TestRefineThresholdTies:
+    """Networks whose minimum cover weighs 1.0, give or take float dust."""
+
+    def test_complete_conflict_at_equal_lengths_is_one_pair(self):
+        for n in (5, 6, 7, 8, 13):
+            for a_length, b_length in ((0.1, 0.1), (0.1, 0.3), (0.7, 0.2)):
+                s, t = complete_conflict_pair(n, a_length, b_length)
+                assert all(
+                    not (a.bits & b.bits in (0, a.bits, b.bits))
+                    for a in s.inner
+                    for b in t.inner
+                )
+                path = geodesic(s, t)
+                assert len(path.supports) == 1
+                assert path.supports[0].a_side == frozenset(s.inner)
+                assert path.supports[0].b_side == frozenset(t.inner)
+                assert path.distance() == pytest.approx(cone_distance(s, t), abs=1e-12)
+                if n <= 8:
+                    assert path.distance() == pytest.approx(
+                        brute_force_distance(s, t), abs=1e-12
+                    )
+
+    def test_proportional_matchings_are_one_pair(self, rng, monkeypatch):
+        covers = []
+        real = geodesic_module.max_flow
+
+        def recording(net):
+            flow, (cover_a, cover_b) = real(net)
+            weight = sum(net.a_weights[i] for i in cover_a)
+            weight += sum(net.b_weights[j] for j in cover_b)
+            covers.append((0 < len(cover_a) < len(net.a_weights), weight))
+            return flow, (cover_a, cover_b)
+
+        monkeypatch.setattr(geodesic_module, "max_flow", recording)
+        for s, t in proportional_matchings(rng):
+            path = geodesic(s, t)
+            assert [(p.a_side, p.b_side) for p in path.supports] == [
+                (frozenset(s.inner), frozenset(t.inner))
+            ]
+            assert path.distance() == pytest.approx(cone_distance(s, t), abs=1e-12)
+            if len(s.inner) <= 4:
+                assert path.distance() == pytest.approx(
+                    brute_force_distance(s, t), abs=1e-12
+                )
+        assert all(weight == pytest.approx(1.0, abs=1e-12) for _, weight in covers)
+        # float dust made the cut pick a cover inside a pair, lighter than 1.0
+        assert any(mixed and weight < 1.0 for mixed, weight in covers)
+
+    def test_insertion_order_of_inner_does_not_change_the_path(self, rng):
+        pairs = [complete_conflict_pair(n, 0.1, 0.1) for n in (6, 8, 10)]
+        pairs += proportional_matchings(rng)
+        for n in (6, 8, 12, 16):
+            taxa = make_taxa(n)
+            for _ in range(10):
+                s = random_tree(taxa, rng, drop_probability=0.15)
+                t = random_tree(taxa, rng, drop_probability=0.15)
+                pairs.append((equal_lengths(s), equal_lengths(t)))
+                pairs.append((equal_lengths(s, 0.3), equal_lengths(t, 0.1)))
+        for s, t in pairs:
+            want = geodesic(s, t)
+            for _ in range(4):
+                path = geodesic(permuted(s, rng), permuted(t, rng))
+                assert path == want
+                assert_same_path(path, want)

@@ -2,7 +2,7 @@ import pytest
 
 from bhvphylo.maxflow import FlowNetwork, max_flow
 
-from oracles import brute_force_min_cover
+from oracles import brute_force_min_cover, reference_max_flow
 
 
 def cover_weight(net, cover):
@@ -50,7 +50,9 @@ def test_rejects_edges_out_of_range():
         FlowNetwork((0.1,), (0.5,), ((0, 1),))
 
 
-def test_flow_equals_min_cover_on_random_networks(rng):
+def random_networks(rng, trials=450):
+    """Small networks with uniform, equal-per-side and normalized weights."""
+
     def uniform(n):
         return tuple(float(w) for w in rng.uniform(0.01, 1.0, n))
 
@@ -64,7 +66,7 @@ def test_flow_equals_min_cover_on_random_networks(rng):
         norm2 = sum(l * l for l in lengths)
         return tuple(l * l / norm2 for l in lengths)
 
-    for trial in range(450):
+    for trial in range(trials):
         weights = (uniform, equal, normalized)[trial % 3]
         density = 1.0 if trial % 5 == 0 else 0.45
         na = int(rng.integers(1, 6))
@@ -77,12 +79,34 @@ def test_flow_equals_min_cover_on_random_networks(rng):
             for j in range(nb)
             if rng.uniform() < density
         )
-        net = FlowNetwork(a_weights, b_weights, edges)
+        yield FlowNetwork(a_weights, b_weights, edges)
+
+
+def test_flow_equals_min_cover_on_random_networks(rng):
+    for trial, net in enumerate(random_networks(rng)):
         flow, cover = max_flow(net)
-        want, _ = brute_force_min_cover(a_weights, b_weights, edges)
+        want, _ = brute_force_min_cover(net.a_weights, net.b_weights, net.edges)
         assert flow == pytest.approx(want, abs=1e-9), trial
         assert covers_all_edges(net, cover), trial
         assert cover_weight(net, cover) == pytest.approx(want, abs=1e-9), trial
+
+
+def test_matches_the_dict_residual_version_bit_for_bit(rng):
+    nets = list(random_networks(rng))
+    # larger networks, and edges listed out of order and twice
+    for _ in range(60):
+        na, nb = int(rng.integers(4, 12)), int(rng.integers(4, 12))
+        a_weights = tuple(float(w) for w in rng.uniform(0.01, 1.0, na))
+        b_weights = tuple(float(w) for w in rng.uniform(0.01, 1.0, nb))
+        edges = [(i, j) for i in range(na) for j in range(nb) if rng.uniform() < 0.4]
+        edges += edges[: len(edges) // 3]
+        order = rng.permutation(len(edges))
+        nets.append(FlowNetwork(a_weights, b_weights, [edges[k] for k in order]))
+    for net in nets:
+        flow, cover = max_flow(net)
+        want_flow, want_cover = reference_max_flow(net)
+        assert flow.hex() == want_flow.hex()
+        assert cover == want_cover
 
 
 def test_extreme_weight_ratios(rng):
