@@ -16,7 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .geodesic import distance, geodesic
-from .treespace import Tree
+from .treespace import Tree, common_taxa
 
 _CLEANUP_EPS = 1e-12
 
@@ -37,18 +37,6 @@ class EstimatorConfig:
             raise ValueError("iterations must be at least 1")
         if self.tolerance < 0:
             raise ValueError("tolerance must be nonnegative")
-
-
-def _check_inputs(trees, cfg: EstimatorConfig) -> int:
-    if not trees:
-        raise ValueError("no input trees")
-    taxa = trees[0].taxa
-    for tree in trees:
-        if tree.taxa != taxa:
-            raise ValueError("trees are over different taxon tables")
-    if cfg.iterations is not None:
-        return cfg.iterations
-    return 1000 * len(trees)
 
 
 def _drop_tiny_splits(tree: Tree) -> Tree:
@@ -83,11 +71,11 @@ def _iterates(
 
 
 def _run(trees, cfg: EstimatorConfig, step_size) -> Tree:
-    iterations = _check_inputs(trees, cfg)
+    common_taxa(trees)
+    iterations = cfg.iterations or 1000 * len(trees)
     count = len(trees)
     checkpoint = trees[0]
     walk = _iterates(trees, cfg, step_size)
-    current = trees[0]
     for i in range(iterations):
         current, _ = next(walk)
         if cfg.tolerance > 0.0 and (i + 1) % count == 0:
@@ -114,7 +102,6 @@ def mean(trees, cfg: EstimatorConfig = EstimatorConfig()) -> Tree:
 
 def variance(trees, at: Tree) -> float:
     """Mean squared distance from `at` to the trees; Var(T) when `at` is the mean."""
-    if not trees:
-        raise ValueError("no input trees")
+    common_taxa(trees)
     return sum(distance(at, t) ** 2 for t in trees) / len(trees)
 

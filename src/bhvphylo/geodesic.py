@@ -95,11 +95,6 @@ class GeodesicPath:
         return Tree(source.taxa, leaf_lengths, inner)
 
 
-def _check_taxa(s: Tree, t: Tree) -> None:
-    if s.taxa != t.taxa:
-        raise ValueError("trees are over different taxon tables")
-
-
 def _refine(
     a_items: list[tuple[Split, float]],
     b_items: list[tuple[Split, float]],
@@ -152,7 +147,8 @@ def _bits(split: Split) -> int:
 
 def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     """Compute the geodesic path between two trees over the same taxa."""
-    _check_taxa(s, t)
+    if s.taxa != t.taxa:
+        raise ValueError("trees are over different taxon tables")
     leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
 
     s_splits, t_splits = set(s.inner), set(t.inner)

@@ -134,7 +134,7 @@ def nni_neighbors(tree: Tree, edge: Split) -> tuple[Tree, Tree]:
 
 
 def _length_move(tree: Tree, rng, sigma: float) -> Tree:
-    splits = tree.sorted_splits()
+    splits = sorted(tree.inner)
     n_edges = tree.taxa.size + len(splits)
     pick = int(rng.integers(n_edges))
     if pick < tree.taxa.size:
@@ -152,7 +152,7 @@ def propose(tree: Tree, rng: np.random.Generator, cfg: ProposalConfig) -> tuple[
     """
     if rng.uniform() < cfg.tau:
         return _length_move(tree, rng, cfg.sigma), LENGTH_MOVE
-    splits = tree.sorted_splits()
+    splits = sorted(tree.inner)
     if not splits:
         return _length_move(tree, rng, cfg.sigma), FALLBACK_MOVE
     edge = splits[int(rng.integers(len(splits)))]
@@ -232,8 +232,6 @@ def run(
 
     Chain c uses seed proposal.seed + c.
     """
-    if alignment.taxa.size < 4:
-        raise ValueError("need at least 4 taxa")
     samples: list[Tree] = []
     trace: list[TraceRow] = []
     for index in range(config.chains):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .treespace import TaxonTable, Tree, tree_topology
@@ -44,13 +44,12 @@ class ColumnLikelihoodError(ArithmeticError):
         self.column = column
 
 
-def encode_symbol(symbol: str, *, warn: bool = True) -> int:
+def encode_symbol(symbol: str) -> int:
     """Map a character to the 5-letter alphabet; unknown symbols become gaps."""
     symbol = symbol.upper()
     if symbol in _SYMBOL_INDEX:
         return _SYMBOL_INDEX[symbol]
-    if warn:
-        warnings.warn(f"symbol {symbol!r} mapped to gap", stacklevel=2)
+    warnings.warn(f"symbol {symbol!r} mapped to gap", stacklevel=2)
     return GAP
 
 
@@ -60,9 +59,11 @@ class Alignment:
 
     taxa: TaxonTable
     columns: tuple[tuple[int, ...], ...]
-    pattern_index: dict[tuple[int, ...], int]
+    # distinct columns in order of first occurrence, with multiplicities
+    pattern_index: dict[tuple[int, ...], int] = field(init=False, compare=False)
 
     def __post_init__(self):
+        patterns: dict[tuple[int, ...], int] = {}
         for column in self.columns:
             if len(column) != self.taxa.size:
                 raise ValueError(
@@ -70,16 +71,12 @@ class Alignment:
                 )
             if any(not 0 <= x < N_SYMBOLS for x in column):
                 raise ValueError("symbol index outside the alphabet")
-        if sum(self.pattern_index.values()) != len(self.columns):
-            raise ValueError("pattern multiplicities do not sum to the column count")
+            patterns[column] = patterns.get(column, 0) + 1
+        object.__setattr__(self, "pattern_index", patterns)
 
     @classmethod
     def from_columns(cls, taxa: TaxonTable, columns) -> "Alignment":
-        columns = tuple(tuple(c) for c in columns)
-        patterns: dict[tuple[int, ...], int] = {}
-        for column in columns:
-            patterns[column] = patterns.get(column, 0) + 1
-        return cls(taxa, columns, patterns)
+        return cls(taxa, tuple(tuple(c) for c in columns))
 
     @classmethod
     def from_sequences(cls, taxa: TaxonTable, sequences) -> "Alignment":
@@ -136,9 +133,6 @@ class GammaPrior:
         )
 
 
-Exponents = tuple[int, int, int, int, int]
-
-
 def mutation_prob(length: float) -> float:
     """Probability of at least one substitution on an edge (unit rate)."""
     if not length > 0:
@@ -147,7 +141,7 @@ def mutation_prob(length: float) -> float:
 
 
 @lru_cache(maxsize=65536)
-def _log_moment(counts: Exponents, alpha: tuple[float, ...]) -> float:
+def _log_moment(counts: tuple[int, ...], alpha: tuple[float, ...]) -> float:
     total_alpha = sum(alpha)
     total = sum(counts)
     value = math.lgamma(total_alpha) - math.lgamma(total_alpha + total)
@@ -155,18 +149,6 @@ def _log_moment(counts: Exponents, alpha: tuple[float, ...]) -> float:
         if count:
             value += math.lgamma(a + count) - math.lgamma(a)
     return value
-
-
-def log_dirichlet_moment(counts, prior: DirichletPrior) -> float:
-    """Log of the Dirichlet moment E[prod theta_x^counts_x]."""
-    return _log_moment(tuple(counts), prior.alpha)
-
-
-def dirichlet_moment(counts, prior: DirichletPrior) -> float:
-    """The simplex integral of one monomial against the Dirichlet prior."""
-    if any(c < 0 or c != int(c) for c in counts):
-        raise ValueError("counts must be nonnegative integers")
-    return math.exp(log_dirichlet_moment(counts, prior))
 
 
 # Polynomials are bare {exponents: coefficient} dicts.  Inside pruning a
@@ -286,30 +268,10 @@ def _column_terms(root, column) -> tuple[dict, int]:
     return terms, scale
 
 
-def column_poly(tree: Tree, column) -> dict[Exponents, float]:
-    """The column likelihood as a polynomial in the stationary distribution,
-    {exponents: coefficient} with one exponent per symbol.
-
-    A pruning pass from the leaves toward leaf 0's neighbor over the
-    status of each vertex's mutation-free component; the root closes the
-    last component.
-    """
-    column = tuple(column)
-    if len(column) != tree.taxa.size:
-        raise ValueError("column length does not match the taxa")
-    if any(not 0 <= x < N_SYMBOLS for x in column):
-        raise ValueError("symbol outside the alphabet")
-    terms, scale = _column_terms(tree_topology(tree), column)
-    scaled = {e: math.ldexp(c, scale) for e, c in terms.items()}
-    return {e: c for e, c in scaled.items() if c != 0.0}
-
-
 def log_likelihood(tree: Tree, alignment: Alignment, prior: DirichletPrior) -> float:
     """Log likelihood of the whole alignment, marginalized over stationaries."""
     if alignment.taxa != tree.taxa:
         raise ValueError("alignment and tree are over different taxa")
-    if not alignment.columns:
-        return 0.0
     root = tree_topology(tree)
     alpha = prior.alpha
     total = 0.0

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .treespace import Split, Tree, check, compatible
+from .treespace import Split, Tree, check, common_taxa
 
 DEFAULT_BINS = 50
 
@@ -25,22 +25,13 @@ class SplitStats:
     counts: tuple[int, ...]
 
 
-def _check_samples(samples) -> None:
-    if not samples:
-        raise ValueError("no samples")
-    taxa = samples[0].taxa
-    for tree in samples:
-        if tree.taxa != taxa:
-            raise ValueError("samples are over different taxon tables")
-
-
 def split_frequencies(samples, bins: int = DEFAULT_BINS) -> list[SplitStats]:
     """Per-split sample frequency, mean length, and a length histogram.
 
     Histograms use `bins` uniform bins over [0, max observed length of
     that split].  Records are ordered by descending frequency, then mask.
     """
-    _check_samples(samples)
+    common_taxa(samples)
     if bins < 1:
         raise ValueError("bins must be positive")
     lengths: dict[Split, list[float]] = {}
@@ -77,7 +68,7 @@ def consensus_majority(samples) -> Tree:
     mutually compatible, so the result is a valid (possibly non-binary)
     tree.
     """
-    _check_samples(samples)
+    taxa = common_taxa(samples)
     count = len(samples)
     lengths: dict[Split, list[float]] = {}
     for tree in samples:
@@ -89,11 +80,6 @@ def consensus_majority(samples) -> Tree:
         for split, values in lengths.items()
         if len(values) * 2 > count
     }
-    ordered = sorted(inner)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
-            assert compatible(a, b), "majority splits must be compatible"
-    taxa = samples[0].taxa
     leaf_lengths = tuple(
         math.fsum(tree.leaf_lengths[i] for tree in samples) / count
         for i in range(taxa.size)
@@ -128,7 +114,7 @@ def compare_mean_consensus(
     samples, mean_tree: Tree, consensus_tree: Tree
 ) -> ComparisonReport:
     """Length comparison between consensus and mean, split by split."""
-    _check_samples(list(samples) + [mean_tree, consensus_tree])
+    common_taxa([*samples, mean_tree, consensus_tree])
     shared = []
     consensus_only = []
     mean_only = []

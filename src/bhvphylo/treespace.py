@@ -14,6 +14,7 @@ threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -35,6 +36,10 @@ class InvalidTreeError(ValueError):
         self.violations = list(violations)
 
 
+# characters that end a taxon label in Newick
+_NAME_STOP = frozenset("(),:;")
+
+
 @dataclass(frozen=True)
 class TaxonTable:
     """Ordered, distinct taxon labels; index 0 is the outgroup leaf."""
@@ -47,13 +52,10 @@ class TaxonTable:
             raise ValueError(f"need at least 4 taxa, got {len(self.names)}")
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate taxon label")
-        if any(not name for name in self.names):
-            raise ValueError("empty taxon label")
-
-    @property
-    def n(self) -> int:
-        """Leaves are labeled 0..n; returns n."""
-        return len(self.names) - 1
+        for name in self.names:
+            # a label must read back from Newick as itself
+            if not name or name != name.strip() or not _NAME_STOP.isdisjoint(name):
+                raise ValueError(f"taxon label {name!r} is empty, padded or holds one of (),:;")
 
     @property
     def size(self) -> int:
@@ -83,18 +85,6 @@ class Split:
             raise ValueError(
                 f"split side must have 2..{self.n_leaves - 2} leaves, got {size}"
             )
-
-    @classmethod
-    def of(cls, leaves, n_leaves: int) -> "Split":
-        """Build a split from either side of the bipartition (normalizes)."""
-        bits = 0
-        for i in leaves:
-            if i < 0 or i >= n_leaves:
-                raise ValueError(f"leaf index {i} out of range")
-            bits |= 1 << i
-        if bits & 1:
-            bits = ((1 << n_leaves) - 1) ^ bits
-        return cls(bits, n_leaves)
 
     @property
     def size(self) -> int:
@@ -137,19 +127,6 @@ class Tree:
         object.__setattr__(self, "leaf_lengths", tuple(self.leaf_lengths))
         object.__setattr__(self, "inner", dict(self.inner))
 
-    @property
-    def n(self) -> int:
-        return self.taxa.n
-
-    def splits(self) -> frozenset[Split]:
-        return frozenset(self.inner)
-
-    def sorted_splits(self) -> list[Split]:
-        return sorted(self.inner)
-
-    def is_binary(self) -> bool:
-        return len(self.inner) == self.n - 2
-
     def with_leaf_length(self, leaf: int, length: float) -> "Tree":
         lengths = list(self.leaf_lengths)
         lengths[leaf] = length
@@ -187,18 +164,19 @@ def validate(tree: Tree) -> list[str]:
             f"leaf length vector has {len(tree.leaf_lengths)} entries, "
             f"expected {n_leaves}"
         )
+    # NaN fails both comparisons
     for i, length in enumerate(tree.leaf_lengths):
-        if not (length > 0.0) or length != length or length == float("inf"):
-            problems.append(f"non-positive length on leaf edge {i}")
-    if len(tree.inner) > tree.n - 2:
+        if not 0.0 < length < math.inf:
+            problems.append(f"non-positive or non-finite length on leaf edge {i}")
+    if len(tree.inner) > n_leaves - 3:
         problems.append(
-            f"{len(tree.inner)} inner splits exceeds maximum {tree.n - 2}"
+            f"{len(tree.inner)} inner splits exceeds maximum {n_leaves - 3}"
         )
     for split, length in tree.inner.items():
         if split.n_leaves != n_leaves:
             problems.append(f"{split} is over {split.n_leaves} leaves, tree has {n_leaves}")
-        if not (length > 0.0) or length != length or length == float("inf"):
-            problems.append(f"non-positive length on inner edge {split}")
+        if not 0.0 < length < math.inf:
+            problems.append(f"non-positive or non-finite length on inner edge {split}")
     ordered = sorted(s for s in tree.inner if s.n_leaves == n_leaves)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
@@ -215,13 +193,14 @@ def check(tree: Tree) -> Tree:
     return tree
 
 
-def trees_close(a: Tree, b: Tree, tol: float = 1e-12) -> bool:
-    """Same taxa and splits, all lengths within tol."""
-    if a.taxa != b.taxa or a.splits() != b.splits():
-        return False
-    if any(abs(x - y) > tol for x, y in zip(a.leaf_lengths, b.leaf_lengths)):
-        return False
-    return all(abs(a.inner[s] - b.inner[s]) <= tol for s in a.inner)
+def common_taxa(trees) -> TaxonTable:
+    """The taxon table every tree of a nonempty collection is over."""
+    if not trees:
+        raise ValueError("no trees")
+    taxa = trees[0].taxa
+    if any(tree.taxa != taxa for tree in trees):
+        raise ValueError("trees are over different taxon tables")
+    return taxa
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +269,6 @@ def _sort_children(node: Node) -> None:
 
 # ---------------------------------------------------------------------------
 # Newick
-
-_NAME_STOP = frozenset("(),:;")
-
 
 class _Parser:
     def __init__(self, text: str):
@@ -378,7 +354,11 @@ def parse_newick(
     first-listed taxon, unless an existing taxon table fixes the order.
     """
     parser = _Parser(text)
-    root = parser.node(True)
+    try:
+        root = parser.node(True)
+    except RecursionError:
+        # walking the parsed nodes below recurses no deeper than this
+        raise NewickError("nested too deeply") from None
     if parser.peek() != ";":
         parser.error("expected ';'")
     parser.pos += 1
@@ -451,7 +431,11 @@ def serialize_newick(tree: Tree) -> str:
         if node.is_leaf():
             body = tree.taxa.names[node.leaf]
         else:
-            body = "(" + ",".join(render(c) for c in node.children) + ")"
+            # one frame per level, as in the parser, so whatever parses renders
+            parts = []
+            for child in node.children:
+                parts.append(render(child))
+            body = "(" + ",".join(parts) + ")"
         if node.length is None:
             return body
         return f"{body}:{node.length:.17g}"
@@ -482,74 +466,34 @@ def load_samples(path, *, outgroup: str | None = None) -> list[Tree]:
 
 
 # ---------------------------------------------------------------------------
-# Topology generation (random trees and exhaustive enumeration)
-
-def _splits_of_adjacency(adj: dict[int, set[int]], n_leaves: int) -> frozenset[Split]:
-    splits = set()
-    inner = [v for v in adj if v >= n_leaves]
-    for v in inner:
-        for w in adj[v]:
-            if w < n_leaves or w < v:
-                continue
-            # leaves on w's side of the edge v-w
-            seen = {v, w}
-            stack = [w]
-            side = 0
-            while stack:
-                u = stack.pop()
-                if u < n_leaves:
-                    side |= 1 << u
-                for x in adj[u]:
-                    if x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            splits.add(Split.of((i for i in range(n_leaves) if side >> i & 1), n_leaves))
-    return frozenset(splits)
-
-
-def _edges_of(adj: dict[int, set[int]]) -> list[tuple[int, int]]:
-    return sorted((v, w) for v in adj for w in adj[v] if v < w)
-
+# Random topologies
 
 def random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
-    """Uniform random binary topology via sequential random edge insertion."""
+    """Uniform random binary topology via sequential random edge insertion.
+
+    Each edge is keyed by its endpoint ids (leaves 0..n-1, then inner
+    vertices in creation order) and holds its clade, the leaves beyond it
+    as seen from leaf 0, and its endpoint away from leaf 0.
+    """
     if n_leaves < 4:
         raise ValueError("need at least 4 leaves")
     center = n_leaves
-    adj = {0: {center}, 1: {center}, 2: {center}, center: {0, 1, 2}}
-    next_vertex = n_leaves + 1
+    edges = {(0, center): (0b110, center), (1, center): (0b10, 1), (2, center): (0b100, 2)}
     for leaf in range(3, n_leaves):
-        edges = _edges_of(adj)
-        v, w = edges[int(rng.integers(len(edges)))]
-        adj[v].discard(w)
-        adj[w].discard(v)
-        mid = next_vertex
-        next_vertex += 1
-        adj[mid] = {v, w, leaf}
-        adj[v].add(mid)
-        adj[w].add(mid)
-        adj[leaf] = {mid}
-    return _splits_of_adjacency(adj, n_leaves)
-
-
-def enumerate_binary_topologies(n_leaves: int) -> set[frozenset[Split]]:
-    """All binary split sets on the leaf set, by exhaustive leaf insertion."""
-    if n_leaves < 4:
-        raise ValueError("need at least 4 leaves")
-    center = n_leaves
-    start = {0: {center}, 1: {center}, 2: {center}, center: {0, 1, 2}}
-    partial = [(start, n_leaves + 1)]
-    for leaf in range(3, n_leaves):
-        grown = []
-        for adj, next_vertex in partial:
-            for v, w in _edges_of(adj):
-                new = {u: set(nbrs) for u, nbrs in adj.items()}
-                new[v].discard(w)
-                new[w].discard(v)
-                new[next_vertex] = {v, w, leaf}
-                new[v].add(next_vertex)
-                new[w].add(next_vertex)
-                new[leaf] = {next_vertex}
-                grown.append((new, next_vertex + 1))
-        partial = grown
-    return {_splits_of_adjacency(adj, n_leaves) for adj, _ in partial}
+        key = sorted(edges)[int(rng.integers(len(edges)))]
+        clade, lower = edges.pop(key)
+        bit = 1 << leaf
+        # the new leaf joins every clade that contains the subdivided edge
+        for other, (mask, end) in edges.items():
+            if mask & clade == clade:
+                edges[other] = (mask | bit, end)
+        mid = n_leaves + leaf - 2  # the largest vertex id yet
+        upper = sum(key) - lower
+        edges[upper, mid] = (clade | bit, mid)
+        edges[lower, mid] = (clade, lower)
+        edges[leaf, mid] = (bit, leaf)
+    return frozenset(
+        Split(mask, n_leaves)
+        for mask, _ in edges.values()
+        if 2 <= mask.bit_count() <= n_leaves - 2
+    )

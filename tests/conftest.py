@@ -1,7 +1,30 @@
+"""Test fixtures, tree builders, and thin hooks into program internals.
+
+The hooks expose what the pipeline computes without a public entry
+point (one column's polynomial, one Dirichlet moment) so that tests can
+check it against the oracles in oracles.py.
+"""
+
+import math
+
 import numpy as np
 import pytest
 
-from bhvphylo.treespace import Split, TaxonTable, Tree, random_binary_splits
+from bhvphylo import phylo_model
+from bhvphylo.phylo_model import DirichletPrior
+from bhvphylo.treespace import Split, TaxonTable, Tree, random_binary_splits, tree_topology
+
+
+def split_of(leaves, n_leaves: int) -> Split:
+    """The split with `leaves` on either side of its bipartition."""
+    bits = 0
+    for i in leaves:
+        if i < 0 or i >= n_leaves:
+            raise ValueError(f"leaf index {i} out of range")
+        bits |= 1 << i
+    if bits & 1:
+        bits = ((1 << n_leaves) - 1) ^ bits
+    return Split(bits, n_leaves)
 
 
 def make_taxa(n_leaves: int) -> TaxonTable:
@@ -33,7 +56,7 @@ def rng():
 def spider_tree(ray: set, length: float, n_leaves: int = 4, leaf_length: float = 0.1):
     """A 4-leaf tree on one ray of the three-orthant spider (or its origin)."""
     taxa = make_taxa(n_leaves)
-    inner = {Split.of(ray, n_leaves): length} if ray else {}
+    inner = {split_of(ray, n_leaves): length} if ray else {}
     return Tree(taxa, (leaf_length,) * n_leaves, inner)
 
 
@@ -48,3 +71,29 @@ def assert_same_path(path, want):
     ] == [(p.a_side, p.b_side, p.a_norm.hex(), p.b_norm.hex()) for p in want.supports]
     assert [d.hex() for d in path.leaf_deltas] == [d.hex() for d in want.leaf_deltas]
     assert path.distance().hex() == want.distance().hex()
+
+
+def trees_close(a: Tree, b: Tree, tol: float = 1e-12) -> bool:
+    """Same taxa and splits, all lengths within tol."""
+    if a.taxa != b.taxa or set(a.inner) != set(b.inner):
+        return False
+    if any(abs(x - y) > tol for x, y in zip(a.leaf_lengths, b.leaf_lengths)):
+        return False
+    return all(abs(a.inner[s] - b.inner[s]) <= tol for s in a.inner)
+
+
+def column_poly(tree: Tree, column) -> dict:
+    """The column likelihood as a polynomial in the stationary distribution,
+    {exponents: coefficient} with one exponent per symbol, as the pruning in
+    `log_likelihood` computes it (its power-of-two scale applied)."""
+    terms, scale = phylo_model._column_terms(tree_topology(tree), tuple(column))
+    scaled = {e: math.ldexp(c, scale) for e, c in terms.items()}
+    return {e: c for e, c in scaled.items() if c != 0.0}
+
+
+def dirichlet_moment(counts, prior: DirichletPrior) -> float:
+    """The simplex integral of one monomial against the Dirichlet prior,
+    from the log moment `log_likelihood` integrates each term with."""
+    if any(c < 0 or c != int(c) for c in counts):
+        raise ValueError("counts must be nonnegative integers")
+    return math.exp(phylo_model._log_moment(tuple(counts), prior.alpha))

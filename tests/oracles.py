@@ -7,9 +7,13 @@ vertex states numerically, and the Euclidean estimators work on plain
 length vectors.  The reference geodesic is the earlier refinement kept
 verbatim (per-pair `compatible`, a max flow for every network and a
 dict-of-dicts residual graph), so the fast path must reproduce it bit
-for bit.  `median_objective` is the exception: it sums the program's own
+for bit.  The random topology and the exhaustive enumeration grow an
+explicit adjacency graph and read each split off by a search, where the
+program keeps clade masks; the random one must pick the same edges and
+return the same splits.  `median_objective` is the exception: it sums the program's own
 distances, for tests that compare an estimate's objective with an
-oracle's.
+oracle's.  This module imports the package and nothing from the tests,
+so that `perfbench/verify.py` can load it on its own.
 """
 
 from __future__ import annotations
@@ -483,3 +487,83 @@ def weiszfeld_median(points: np.ndarray, steps: int = 2000) -> np.ndarray:
             return new
         current = new
     return current
+
+
+# ---------------------------------------------------------------------------
+# Binary topologies on an explicit adjacency graph
+
+def _splits_of_adjacency(adj: dict[int, set[int]], n_leaves: int) -> frozenset[Split]:
+    splits = set()
+    inner = [v for v in adj if v >= n_leaves]
+    for v in inner:
+        for w in adj[v]:
+            if w < n_leaves or w < v:
+                continue
+            # leaves on w's side of the edge v-w
+            seen = {v, w}
+            stack = [w]
+            side = 0
+            while stack:
+                u = stack.pop()
+                if u < n_leaves:
+                    side |= 1 << u
+                for x in adj[u]:
+                    if x not in seen:
+                        seen.add(x)
+                        stack.append(x)
+            if side & 1:
+                side ^= (1 << n_leaves) - 1
+            splits.add(Split(side, n_leaves))
+    return frozenset(splits)
+
+
+def _edges_of(adj: dict[int, set[int]]) -> list[tuple[int, int]]:
+    return sorted((v, w) for v in adj for w in adj[v] if v < w)
+
+
+def reference_random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
+    """Random edge insertion on an adjacency graph, with the splits read off
+    by a search per edge: the earlier `random_binary_splits`, kept
+    verbatim.  Vertices 0..n-1 are leaves, n is the starting center and
+    each insertion creates the next id; the inserted edge is drawn by
+    index from the sorted (smaller, larger) vertex-id pairs."""
+    if n_leaves < 4:
+        raise ValueError("need at least 4 leaves")
+    center = n_leaves
+    adj = {0: {center}, 1: {center}, 2: {center}, center: {0, 1, 2}}
+    next_vertex = n_leaves + 1
+    for leaf in range(3, n_leaves):
+        edges = _edges_of(adj)
+        v, w = edges[int(rng.integers(len(edges)))]
+        adj[v].discard(w)
+        adj[w].discard(v)
+        mid = next_vertex
+        next_vertex += 1
+        adj[mid] = {v, w, leaf}
+        adj[v].add(mid)
+        adj[w].add(mid)
+        adj[leaf] = {mid}
+    return _splits_of_adjacency(adj, n_leaves)
+
+
+def enumerate_binary_topologies(n_leaves: int) -> set[frozenset[Split]]:
+    """All binary split sets on the leaf set, by exhaustive leaf insertion."""
+    if n_leaves < 4:
+        raise ValueError("need at least 4 leaves")
+    center = n_leaves
+    start = {0: {center}, 1: {center}, 2: {center}, center: {0, 1, 2}}
+    partial = [(start, n_leaves + 1)]
+    for leaf in range(3, n_leaves):
+        grown = []
+        for adj, next_vertex in partial:
+            for v, w in _edges_of(adj):
+                new = {u: set(nbrs) for u, nbrs in adj.items()}
+                new[v].discard(w)
+                new[w].discard(v)
+                new[next_vertex] = {v, w, leaf}
+                new[v].add(next_vertex)
+                new[w].add(next_vertex)
+                new[leaf] = {next_vertex}
+                grown.append((new, next_vertex + 1))
+        partial = grown
+    return {_splits_of_adjacency(adj, n_leaves) for adj, _ in partial}

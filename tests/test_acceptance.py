@@ -17,14 +17,13 @@ from bhvphylo.phylo_model import (
     Alignment,
     DirichletPrior,
     GammaPrior,
-    column_poly,
     log_likelihood,
     log_posterior,
 )
 from bhvphylo.summary import consensus_majority, split_frequencies
-from bhvphylo.treespace import Split, Tree, validate
+from bhvphylo.treespace import Tree, validate
 
-from conftest import make_taxa, random_tree, spider_tree
+from conftest import column_poly, make_taxa, random_tree, spider_tree, split_of
 from oracles import (
     brute_force_distance,
     evaluate_terms,
@@ -118,7 +117,7 @@ def test_criterion_04_spider_closed_forms():
         [spider_tree({1, 2}, 0.8), spider_tree({1, 3}, 0.2)],
         EstimatorConfig(seed=404, iterations=20000),
     )
-    split = Split.of({1, 2}, 4)
+    split = split_of({1, 2}, 4)
     assert set(two_ray.inner) == {split}
     assert abs(two_ray.inner[split] - 0.3) <= 0.02
 
@@ -221,7 +220,7 @@ def test_criterion_06_likelihood_oracles():
 def test_criterion_07_sampler_calibration():
     start = time.monotonic()
     taxa = make_taxa(4)
-    split = Split.of({1, 2}, 4)
+    split = split_of({1, 2}, 4)
     pinned = Tree(taxa, (0.12, 0.08, 0.1, 0.15), {split: 0.1})
     rng = np.random.default_rng(707)
     columns = [tuple(int(x) for x in rng.integers(0, 5, 4)) for _ in range(8)]
@@ -297,8 +296,8 @@ def test_criterion_08_bimodality_shortening():
         gamma=GammaPrior(1.0, 0.1),
     )
     samples, _ = run(alignment, config)
-    majority_split = Split.of({1, 2}, 5)
-    minority_split = Split.of({1, 3}, 5)
+    majority_split = split_of({1, 2}, 5)
+    minority_split = split_of({1, 3}, 5)
     frequencies = {r.split: r.frequency for r in split_frequencies(samples)}
     f_major = frequencies.get(majority_split, 0.0)
     f_minor = frequencies.get(minority_split, 0.0)

@@ -11,7 +11,9 @@ import bhvphylo.cli as cli
 from bhvphylo.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from bhvphylo.geodesic import distance
 from bhvphylo.phylo_model import ColumnLikelihoodError
-from bhvphylo.treespace import load_samples, parse_newick, trees_close
+from bhvphylo.treespace import load_samples, parse_newick
+
+from conftest import trees_close
 
 DEMO_TREE = "((A:0.1,B:0.2):0.05,(C:0.3,D:0.1):0.07,O:0.1);"
 
@@ -163,6 +165,14 @@ class TestSample:
         rc = main(["sample", str(bad), "--out", str(tmp_path / "x"), "--seed", "1"])
         assert rc == EXIT_INPUT
         assert "at least 4" in capsys.readouterr().err
+
+    def test_newick_punctuation_in_a_name_is_input_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.fasta"
+        write_fasta(bad, [("O", "ACGT"), ("A:1", "ACGT"), ("B", "ACGA"), ("C", "ACGT")])
+        rc = main(["sample", str(bad), "--out", str(tmp_path / "x"), "--seed", "1"])
+        assert rc == EXIT_INPUT
+        assert "taxon label 'A:1'" in capsys.readouterr().err
+        assert not (tmp_path / "x.samples").exists()
 
     def test_unknown_symbol_warns_and_proceeds(self, tmp_path, capsys):
         fasta = tmp_path / "n.fasta"
@@ -388,6 +398,15 @@ class TestGeometryCommands:
     def test_bad_newick_is_input_error(self, capsys):
         rc = main(["distance", "((A:0.1,B:0.2):0.05;", DEMO_TREE])
         assert rc == EXIT_INPUT
+
+    def test_deeply_nested_newick_is_input_error(self, tmp_path, capsys):
+        # an 1100-leaf caterpillar, deeper than the default recursion limit
+        text = "(" * 1099 + "t0:1"
+        text += "".join(f",t{i}:1):1" for i in range(1, 1100)) + ";"
+        path = tmp_path / "deep.nwk"
+        path.write_text(text + "\n")
+        assert main(["consensus", str(path)]) == EXIT_INPUT
+        assert "nested too deeply" in capsys.readouterr().err
 
     def test_lambda_out_of_range_is_input_error(self):
         rc = main(["interpolate", DEMO_TREE, DEMO_TREE, "--lambda", "1.5"])

@@ -9,9 +9,9 @@ from bhvphylo.frechet import (
     variance,
 )
 from bhvphylo.geodesic import distance, interpolate
-from bhvphylo.treespace import Split, Tree
+from bhvphylo.treespace import Tree
 
-from conftest import make_taxa, random_tree, spider_tree
+from conftest import make_taxa, random_tree, spider_tree, split_of
 from oracles import (
     euclidean_mean_tree_vectors,
     length_vector,
@@ -118,7 +118,7 @@ class TestMean:
         a = spider_tree({1, 2}, 0.8)
         b = spider_tree({1, 3}, 0.2)
         result = mean([a, b], EstimatorConfig(seed=1))
-        split = Split.of({1, 2}, 4)
+        split = split_of({1, 2}, 4)
         assert set(result.inner) == {split}
         assert result.inner[split] == pytest.approx(0.3, abs=1e-2)
 
@@ -131,7 +131,7 @@ class TestMean:
             b = spider_tree({1, 3}, lb)
             result = mean([a, b], EstimatorConfig(seed=6))
             want = (la - lb) / 2
-            assert result.inner[Split.of({1, 2}, 4)] == pytest.approx(want, abs=1e-2)
+            assert result.inner[split_of({1, 2}, 4)] == pytest.approx(want, abs=1e-2)
 
     def test_objective_nonincreasing_over_tail(self, rng):
         trees, _ = single_orthant_set(rng, count=10, low=0.05, high=0.2)

@@ -11,9 +11,9 @@ from bhvphylo import geodesic as geodesic_module
 from bhvphylo.frechet import EstimatorConfig
 from bhvphylo.geodesic import _refine, distance, geodesic, interpolate
 from bhvphylo.mcmc import nni_neighbors
-from bhvphylo.treespace import Split, Tree, validate
+from bhvphylo.treespace import Tree, validate
 
-from conftest import assert_same_path, make_taxa, random_tree, spider_tree
+from conftest import assert_same_path, make_taxa, random_tree, spider_tree, split_of
 from oracles import (
     brute_force_distance,
     brute_force_min_cover,
@@ -24,8 +24,8 @@ from oracles import (
 
 def t3_pair(length_a=0.3, length_b=0.4):
     taxa = make_taxa(4)
-    s = Tree(taxa, (0.1,) * 4, {Split.of({1, 2}, 4): length_a})
-    t = Tree(taxa, (0.1,) * 4, {Split.of({1, 3}, 4): length_b})
+    s = Tree(taxa, (0.1,) * 4, {split_of({1, 2}, 4): length_a})
+    t = Tree(taxa, (0.1,) * 4, {split_of({1, 3}, 4): length_b})
     return s, t
 
 
@@ -48,14 +48,14 @@ class TestDistance:
 
     def test_single_orthant_one_edge(self):
         taxa = make_taxa(4)
-        split = Split.of({1, 2}, 4)
+        split = split_of({1, 2}, 4)
         s = Tree(taxa, (0.1,) * 4, {split: 0.3})
         t = Tree(taxa, (0.1,) * 4, {split: 0.55})
         assert distance(s, t) == pytest.approx(0.25, abs=1e-12)
 
     def test_leaf_lengths_are_euclidean(self):
         taxa = make_taxa(4)
-        split = Split.of({1, 2}, 4)
+        split = split_of({1, 2}, 4)
         s = Tree(taxa, (0.1, 0.2, 0.3, 0.4), {split: 0.3})
         t = Tree(taxa, (0.2, 0.4, 0.1, 0.4), {split: 0.3})
         want = math.sqrt(0.01 + 0.04 + 0.04)
@@ -225,7 +225,7 @@ class TestInterpolate:
         origin = spider_tree(set(), 0.0)
         assert distance(ray, origin) == pytest.approx(0.8, abs=1e-12)
         halfway = interpolate(ray, origin, 0.5)
-        assert halfway.inner[Split.of({1, 2}, 4)] == pytest.approx(0.4, abs=1e-12)
+        assert halfway.inner[split_of({1, 2}, 4)] == pytest.approx(0.4, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +387,9 @@ def complete_conflict_pair(n, a_length, b_length, leaf_length=0.1):
     and neither contains the other, so the network is complete.
     """
     taxa = make_taxa(n)
-    a_splits = [Split.of(range(1, k + 1), n) for k in range(2, n - 1)]
+    a_splits = [split_of(range(1, k + 1), n) for k in range(2, n - 1)]
     b_splits = [
-        Split.of([1] + list(range(n - k + 1, n)), n) for k in range(2, n - 1)
+        split_of([1] + list(range(n - k + 1, n)), n) for k in range(2, n - 1)
     ]
     s = Tree(taxa, (leaf_length,) * n, {sp: a_length for sp in a_splits})
     t = Tree(taxa, (leaf_length,) * n, {sp: b_length for sp in b_splits})
@@ -408,12 +408,12 @@ def matching_pair(a_lengths, b_lengths):
     s = Tree(
         taxa,
         (0.1,) * n,
-        {Split.of({3 * i + 1, 3 * i + 2}, n): l for i, l in enumerate(a_lengths)},
+        {split_of({3 * i + 1, 3 * i + 2}, n): l for i, l in enumerate(a_lengths)},
     )
     t = Tree(
         taxa,
         (0.1,) * n,
-        {Split.of({3 * i + 2, 3 * i + 3}, n): l for i, l in enumerate(b_lengths)},
+        {split_of({3 * i + 2, 3 * i + 3}, n): l for i, l in enumerate(b_lengths)},
     )
     return s, t
 

@@ -1,0 +1,64 @@
+"""The package holds only what the program runs.
+
+Every public top-level function and public method of `src/bhvphylo`
+must be referenced somewhere in the package or in `perfbench/` outside
+its own definition.  A helper that only tests call belongs in
+`tests/conftest.py` (hooks into the program) or `tests/oracles.py`
+(independent references).  References are matched by name: identifiers,
+attribute names, imported names and string constants such as the
+entries of `__all__` and the names `perfbench` patches.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bhvphylo"
+
+
+def _definitions(module: ast.Module):
+    """(name, first line, last line) of public functions and methods."""
+    for node in module.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node
+        elif isinstance(node, ast.ClassDef):
+            yield from (n for n in node.body if isinstance(n, ast.FunctionDef))
+
+
+def _references(module: ast.Module):
+    """(name, line) of every name the module mentions."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def unreferenced_definitions() -> list[str]:
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    modules = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    seen: dict[str, list[tuple[Path, int]]] = {}
+    for path, module in modules.items():
+        for name, line in _references(module):
+            seen.setdefault(name, []).append((path, line))
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _definitions(modules[path]):
+            if node.name.startswith("_"):
+                continue
+            outside = [
+                (where, line)
+                for where, line in seen.get(node.name, [])
+                if where != path or not node.lineno <= line <= node.end_lineno
+            ]
+            if not outside:
+                missing.append(f"{path.name}:{node.lineno} {node.name}")
+    return missing
+
+
+def test_every_public_function_is_used_by_the_program():
+    assert unreferenced_definitions() == []

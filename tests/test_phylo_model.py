@@ -10,17 +10,15 @@ from bhvphylo.phylo_model import (
     DirichletPrior,
     GAP,
     GammaPrior,
-    column_poly,
-    dirichlet_moment,
     encode_symbol,
     log_likelihood,
     log_posterior,
     log_prior,
     mutation_prob,
 )
-from bhvphylo.treespace import Split, TaxonTable, Tree, tree_topology
+from bhvphylo.treespace import TaxonTable, Tree, tree_topology
 
-from conftest import make_taxa, random_tree
+from conftest import column_poly, dirichlet_moment, make_taxa, random_tree, split_of
 from oracles import (
     evaluate_terms,
     pruning_likelihood_vectorized,
@@ -159,6 +157,17 @@ class TestAlignment:
         with pytest.raises(ValueError, match="unequal"):
             Alignment.from_sequences(taxa, ["AC", "A", "AC", "AC"])
 
+    def test_rejects_column_of_wrong_length(self):
+        with pytest.raises(ValueError, match="3 symbols, expected 4"):
+            Alignment.from_columns(make_taxa(4), [(0, 1, 2, 3), (0, 1, 2)])
+
+    def test_patterns_in_order_of_first_occurrence(self):
+        columns = [(1, 1, 1, 1), (0, 0, 0, 0), (1, 1, 1, 1), (2, 0, 0, 0)]
+        aln = Alignment.from_columns(make_taxa(4), columns)
+        assert list(aln.pattern_index.items()) == [
+            ((1, 1, 1, 1), 2), ((0, 0, 0, 0), 1), ((2, 0, 0, 0), 1)
+        ]
+
     def test_empty_alignment_allowed(self):
         taxa = make_taxa(4)
         aln = Alignment.from_columns(taxa, [])
@@ -169,7 +178,7 @@ class TestColumnPoly:
     def test_long_edges_factorize_into_stationaries(self):
         # all leaf edges huge: every leaf symbol is a fresh stationary draw
         taxa = make_taxa(4)
-        tree = Tree(taxa, (50.0,) * 4, {Split.of({1, 2}, 4): 50.0})
+        tree = Tree(taxa, (50.0,) * 4, {split_of({1, 2}, 4): 50.0})
         column = (0, 1, 1, 3)
         poly = column_poly(tree, column)
         assert max(sum(e) for e in poly) <= 6
@@ -217,16 +226,16 @@ class TestColumnPoly:
                 # every component that contributes a factor holds a leaf
                 assert max(sum(e) for e in poly) <= n_leaves
 
-    def test_rejects_bad_symbol(self, rng):
-        tree = random_tree(make_taxa(4), rng)
+    def test_rejects_bad_symbol(self):
+        # columns reach the pruning only through an Alignment
         with pytest.raises(ValueError, match="alphabet"):
-            column_poly(tree, (0, 1, 2, 9))
+            Alignment.from_columns(make_taxa(4), [(0, 1, 2, 3), (0, 1, 2, 9)])
 
 
 class TestLogLikelihood:
     def test_all_gap_column_matches_monte_carlo(self, rng):
         taxa = make_taxa(4)
-        tree = Tree(taxa, (0.4,) * 4, {Split.of({1, 2}, 4): 0.3})
+        tree = Tree(taxa, (0.4,) * 4, {split_of({1, 2}, 4): 0.3})
         column = (GAP,) * 4
         aln = Alignment.from_columns(taxa, [column])
         prior = DirichletPrior()
@@ -238,7 +247,7 @@ class TestLogLikelihood:
 
     def test_two_column_alignment_matches_per_column_monte_carlo(self, rng):
         taxa = make_taxa(4)
-        tree = Tree(taxa, (0.2, 0.3, 0.15, 0.4), {Split.of({1, 2}, 4): 0.25})
+        tree = Tree(taxa, (0.2, 0.3, 0.15, 0.4), {split_of({1, 2}, 4): 0.25})
         columns = [(0, 0, 1, 2), (3, 3, 3, 4)]
         prior = DirichletPrior()
         log_product, se_sum = 0.0, 0.0
@@ -314,7 +323,7 @@ class TestLogLikelihood:
         for split, length in tree_a.inner.items():
             names_in_side = {names[i] for i in split.indices()}
             side = {taxa_b.index(n) for n in names_in_side}
-            inner[Split.of(side, len(names))] = length
+            inner[split_of(side, len(names))] = length
         tree_b = Tree(taxa_b, leaf_lengths, inner)
 
         aln_a = Alignment.from_columns(taxa_a, [tuple(column_by_name[n] for n in names)])
@@ -438,7 +447,7 @@ class TestScale:
 class TestLogPriorPosterior:
     def test_exponential_edge_contribution(self):
         taxa = make_taxa(4)
-        tree = Tree(taxa, (0.1,) * 4, {Split.of({1, 2}, 4): 0.1})
+        tree = Tree(taxa, (0.1,) * 4, {split_of({1, 2}, 4): 0.1})
         prior = GammaPrior(shape=1.0, scale=0.1)
         want = 5 * (math.log(10) - 1)
         assert log_prior(tree, prior) == pytest.approx(want, abs=1e-12)
@@ -462,7 +471,7 @@ class TestLogPriorPosterior:
 
     def test_long_edge_drives_posterior_down(self, rng):
         taxa = make_taxa(4)
-        split = Split.of({1, 2}, 4)
+        split = split_of({1, 2}, 4)
         aln = Alignment.from_columns(taxa, [(0, 0, 1, 1)])
         dp, gp = DirichletPrior(), GammaPrior()
         values = []

@@ -11,9 +11,9 @@ from bhvphylo.summary import (
     split_frequencies,
     stats_csv_lines,
 )
-from bhvphylo.treespace import Split, Tree, compatible, trees_close, validate
+from bhvphylo.treespace import Tree, compatible, validate
 
-from conftest import make_taxa, random_tree, spider_tree
+from conftest import make_taxa, random_tree, spider_tree, split_of, trees_close
 from oracles import euclidean_mean_tree_vectors, length_vector
 
 
@@ -38,8 +38,8 @@ class TestSplitFrequencies:
         records = split_frequencies(samples)
         assert [r.frequency for r in records] == [0.5, 0.5]
         assert {r.split for r in records} == {
-            Split.of({1, 2}, 4),
-            Split.of({1, 3}, 4),
+            split_of({1, 2}, 4),
+            split_of({1, 3}, 4),
         }
 
     def test_incompatible_family_frequencies_sum_below_one(self, rng):
@@ -67,8 +67,8 @@ class TestSplitFrequencies:
     def test_ordering_by_frequency_then_mask(self):
         samples = spider_samples({(1, 2): 3, (1, 3): 7})
         records = split_frequencies(samples)
-        assert records[0].split == Split.of({1, 3}, 4)
-        assert records[1].split == Split.of({1, 2}, 4)
+        assert records[0].split == split_of({1, 3}, 4)
+        assert records[1].split == split_of({1, 2}, 4)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -95,16 +95,16 @@ class TestConsensus:
         b = spider_tree({1, 2}, 0.6)
         c = spider_tree({1, 3}, 0.9)
         result = consensus_majority([a, b, c])
-        assert result.inner == {Split.of({1, 2}, 4): pytest.approx(0.5)}
+        assert result.inner == {split_of({1, 2}, 4): pytest.approx(0.5)}
 
     def test_split_in_every_sample_keeps_its_mean_everywhere(self, rng):
         # a split carried by all samples has the same length in the
         # consensus and in the per-split statistics
         taxa = make_taxa(5)
-        keep = Split.of({1, 2}, 5)
+        keep = split_of({1, 2}, 5)
         samples = []
         for _ in range(20):
-            other = Split.of({3, 4}, 5) if rng.uniform() < 0.5 else Split.of({1, 2, 3}, 5)
+            other = split_of({3, 4}, 5) if rng.uniform() < 0.5 else split_of({1, 2, 3}, 5)
             samples.append(
                 Tree(
                     taxa,
@@ -159,7 +159,7 @@ class TestCompareMeanConsensus:
         samples = spider_samples({(1, 2): 60, (1, 3): 40}, length=0.5)
         consensus = consensus_majority(samples)
         frechet = mean(samples, EstimatorConfig(seed=3, iterations=10_000))
-        split = Split.of({1, 2}, 4)
+        split = split_of({1, 2}, 4)
         assert consensus.inner[split] == pytest.approx(0.5, abs=1e-12)
         # minimizer of 0.6 (x - 0.5)^2 + 0.4 (x + 0.5)^2 on the spider
         assert frechet.inner[split] == pytest.approx(0.1, abs=2e-2)

@@ -1,4 +1,6 @@
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,22 +13,21 @@ from bhvphylo.treespace import (
     Tree,
     check,
     compatible,
-    enumerate_binary_topologies,
     load_samples,
     parse_newick,
     random_binary_splits,
     serialize_newick,
     tree_topology,
-    trees_close,
     validate,
 )
 
-from conftest import make_taxa, random_tree
+from conftest import make_taxa, random_tree, split_of, trees_close
+from oracles import enumerate_binary_topologies, reference_random_binary_splits
 
 # a 7-leaf example tree grouping {1,2,3}, {4,5,6} and {5,6}; it is
 # non-binary (a 7-leaf binary tree would have four inner edges)
 EXAMPLE_TREE_SPLITS = frozenset(
-    Split.of(side, 7) for side in ({1, 2, 3}, {4, 5, 6}, {5, 6})
+    split_of(side, 7) for side in ({1, 2, 3}, {4, 5, 6}, {5, 6})
 )
 
 
@@ -40,13 +41,13 @@ def four_intersections_compatible(a: Split, b: Split) -> bool:
 
 class TestSplit:
     def test_normalizes_away_from_leaf_zero(self):
-        assert Split.of({0, 3}, 5) == Split.of({1, 2, 4}, 5)
+        assert split_of({0, 3}, 5) == split_of({1, 2, 4}, 5)
 
     def test_indices(self):
-        assert Split.of({2, 1}, 5).indices() == (1, 2)
+        assert split_of({2, 1}, 5).indices() == (1, 2)
 
     def test_contains(self):
-        split = Split.of({1, 2}, 5)
+        split = split_of({1, 2}, 5)
         assert 1 in split and 3 not in split
 
     def test_rejects_leaf_zero_in_mask(self):
@@ -55,26 +56,26 @@ class TestSplit:
 
     def test_rejects_tiny_and_huge_sides(self):
         with pytest.raises(ValueError):
-            Split.of({1}, 5)
+            split_of({1}, 5)
         with pytest.raises(ValueError):
-            Split.of({1, 2, 3, 4}, 5)  # complement would contain only leaf 0
+            split_of({1, 2, 3, 4}, 5)  # complement would contain only leaf 0
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            Split.of({1, 7}, 5)
+            split_of({1, 7}, 5)
 
 
 class TestCompatible:
     def test_subset_case(self):
-        assert compatible(Split.of({1, 2}, 5), Split.of({1, 2, 3}, 5))
+        assert compatible(split_of({1, 2}, 5), split_of({1, 2, 3}, 5))
 
     def test_overlapping_case(self):
-        a, b = Split.of({1, 2}, 5), Split.of({2, 3}, 5)
+        a, b = split_of({1, 2}, 5), split_of({2, 3}, 5)
         assert not compatible(a, b)
         assert not four_intersections_compatible(a, b)
 
     def test_disjoint_case(self):
-        assert compatible(Split.of({1, 2}, 6), Split.of({3, 4}, 6))
+        assert compatible(split_of({1, 2}, 6), split_of({3, 4}, 6))
 
     def test_matches_four_intersection_oracle(self, rng):
         n_leaves = 7
@@ -83,7 +84,7 @@ class TestCompatible:
             for size in (2, 3, 4, 5)
             for c in itertools.combinations(range(1, n_leaves), size)
         ]
-        splits = [Split.of(side, n_leaves) for side in sides]
+        splits = [split_of(side, n_leaves) for side in sides]
         for _ in range(300):
             a, b = rng.choice(len(splits), size=2)
             x, y = splits[int(a)], splits[int(b)]
@@ -92,12 +93,12 @@ class TestCompatible:
 
     def test_mismatched_leaf_counts(self):
         with pytest.raises(ValueError, match="incomparable"):
-            compatible(Split.of({1, 2}, 5), Split.of({1, 2}, 6))
+            compatible(split_of({1, 2}, 5), split_of({1, 2}, 6))
 
 
 class TestExampleSplits:
     def test_expected_splits(self):
-        want = {Split.of({1, 2, 3}, 7), Split.of({4, 5, 6}, 7), Split.of({5, 6}, 7)}
+        want = {split_of({1, 2, 3}, 7), split_of({4, 5, 6}, 7), split_of({5, 6}, 7)}
         assert EXAMPLE_TREE_SPLITS == want
 
     def test_pairwise_compatible(self):
@@ -114,17 +115,17 @@ class TestExampleSplits:
 class TestValidate:
     def test_minimal_valid_tree(self):
         taxa = make_taxa(4)
-        tree = Tree(taxa, (0.1,) * 4, {Split.of({1, 2}, 4): 0.1})
+        tree = Tree(taxa, (0.1,) * 4, {split_of({1, 2}, 4): 0.1})
         assert validate(tree) == []
 
     def test_zero_inner_length(self):
         taxa = make_taxa(4)
-        tree = Tree(taxa, (0.1,) * 4, {Split.of({1, 2}, 4): 0.0})
-        assert any("non-positive length" in p for p in validate(tree))
+        tree = Tree(taxa, (0.1,) * 4, {split_of({1, 2}, 4): 0.0})
+        assert any("non-positive or non-finite length" in p for p in validate(tree))
 
     def test_incompatible_splits(self):
         taxa = make_taxa(6)
-        a, b = Split.of({1, 2}, 6), Split.of({2, 3}, 6)
+        a, b = split_of({1, 2}, 6), split_of({2, 3}, 6)
         assert not four_intersections_compatible(a, b)
         tree = Tree(taxa, (0.1,) * 6, {a: 0.1, b: 0.1})
         assert any("incompatible" in p for p in validate(tree))
@@ -132,15 +133,25 @@ class TestValidate:
     def test_too_many_splits(self):
         taxa = make_taxa(4)
         tree = Tree(
-            taxa, (0.1,) * 4, {Split.of({1, 2}, 4): 0.1, Split.of({1, 3}, 4): 0.1}
+            taxa, (0.1,) * 4, {split_of({1, 2}, 4): 0.1, split_of({1, 3}, 4): 0.1}
         )
         problems = validate(tree)
         assert any("exceeds maximum" in p for p in problems)
 
+    def test_infinite_lengths(self):
+        taxa = make_taxa(4)
+        split = split_of({1, 2}, 4)
+        leaf = Tree(taxa, (0.1, math.inf, 0.1, 0.1), {split: 0.1})
+        assert validate(leaf) == ["non-positive or non-finite length on leaf edge 1"]
+        inner = Tree(taxa, (0.1,) * 4, {split: math.inf})
+        assert validate(inner) == [f"non-positive or non-finite length on inner edge {split}"]
+        with pytest.raises(InvalidTreeError, match="non-finite"):
+            parse_newick("((A:0.1,B:0.2):1e999,C:0.3,O:0.1);")
+
     def test_check_raises(self):
         taxa = make_taxa(4)
         with pytest.raises(InvalidTreeError):
-            check(Tree(taxa, (0.1,) * 4, {Split.of({1, 2}, 4): -1.0}))
+            check(Tree(taxa, (0.1,) * 4, {split_of({1, 2}, 4): -1.0}))
 
     def test_all_tree_split_pairs_compatible(self, rng):
         for _ in range(50):
@@ -159,6 +170,11 @@ class TestTaxonTable:
         with pytest.raises(ValueError):
             TaxonTable(("A", "B", "B", "C"))
 
+    @pytest.mark.parametrize("label", ["A:1", "A(", "A)", "A,B", "A;", " A", "A\t"])
+    def test_rejects_labels_that_do_not_read_back_from_newick(self, label):
+        with pytest.raises(ValueError, match="taxon label"):
+            TaxonTable(("O", label, "B", "C"))
+
     def test_index(self):
         taxa = TaxonTable(("O", "A", "B", "C"))
         assert taxa.index("B") == 2
@@ -170,7 +186,7 @@ class TestParseNewick:
     def test_single_cherry(self):
         tree = parse_newick("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);", outgroup="O")
         assert tree.taxa.names == ("O", "A", "B", "C")
-        assert tree.inner == {Split.of({1, 2}, 4): 0.05}
+        assert tree.inner == {split_of({1, 2}, 4): 0.05}
         assert tree.leaf_lengths == (0.1, 0.1, 0.2, 0.3)
 
     def test_two_cherries_compatible(self):
@@ -180,8 +196,8 @@ class TestParseNewick:
         splits = sorted(tree.inner)
         assert len(splits) == 2
         assert compatible(splits[0], splits[1])
-        assert tree.inner[Split.of({1, 2}, 5)] == 0.05
-        assert tree.inner[Split.of({3, 4}, 5)] == 0.07
+        assert tree.inner[split_of({1, 2}, 5)] == 0.05
+        assert tree.inner[split_of({3, 4}, 5)] == 0.07
 
     def test_default_outgroup_is_first_listed(self):
         tree = parse_newick("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);")
@@ -211,16 +227,24 @@ class TestParseNewick:
         tree = parse_newick("((A:0.1,B:0.2):0.05,(C:0.3,D:0.1):0.07);")
         assert tree.taxa.names == ("A", "B", "C", "D")
         # both root edges describe the same bipartition; lengths add
-        assert tree.inner == {Split.of({2, 3}, 4): pytest.approx(0.12)}
+        assert tree.inner == {split_of({2, 3}, 4): pytest.approx(0.12)}
 
     def test_taxon_table_mismatch(self):
         taxa = TaxonTable(("O", "A", "B", "C"))
         with pytest.raises(NewickError, match="does not match"):
             parse_newick("((A:0.1,B:0.2):0.05,C:0.3,X:0.1);", taxa=taxa)
 
+    def test_deep_nesting_is_a_newick_error(self):
+        # a caterpillar nested deeper than the interpreter's recursion limit
+        depth = sys.getrecursionlimit() + 100
+        text = "(" * depth + "t0:1"
+        text += "".join(f",t{i}:1):1" for i in range(1, depth + 1)) + ";"
+        with pytest.raises(NewickError, match="nested too deeply"):
+            parse_newick(text)
+
     def test_internal_labels_ignored(self):
         tree = parse_newick("((A:0.1,B:0.2)97:0.05,C:0.3,O:0.1);", outgroup="O")
-        assert tree.inner == {Split.of({1, 2}, 4): 0.05}
+        assert tree.inner == {split_of({1, 2}, 4): 0.05}
 
 
 class TestSerializeNewick:
@@ -238,9 +262,17 @@ class TestSerializeNewick:
             assert again.taxa == tree.taxa
             assert trees_close(again, tree, tol=1e-12)
 
+    def test_deep_caterpillar_round_trips(self):
+        # rendering takes one frame per level, no more than parsing does
+        depth = 600
+        text = "(" * depth + "t0:1"
+        text += "".join(f",t{i}:1):1" for i in range(1, depth + 1)) + ";"
+        tree = parse_newick(text)
+        assert parse_newick(serialize_newick(tree)) == tree
+
     def test_polytomy_rendered(self):
         taxa = make_taxa(5)
-        tree = Tree(taxa, (0.1,) * 5, {Split.of({1, 2}, 5): 0.3})
+        tree = Tree(taxa, (0.1,) * 5, {split_of({1, 2}, 5): 0.3})
         root = tree_topology(parse_newick(serialize_newick(tree)))
         degrees = []
 
@@ -256,10 +288,10 @@ class TestSerializeNewick:
     def test_lengths_have_full_precision(self):
         taxa = make_taxa(4)
         length = 0.1234567890123456
-        tree = Tree(taxa, (length,) * 4, {Split.of({1, 2}, 4): length})
+        tree = Tree(taxa, (length,) * 4, {split_of({1, 2}, 4): length})
         text = serialize_newick(tree)
         again = parse_newick(text)
-        assert abs(again.inner[Split.of({1, 2}, 4)] - length) < 1e-12
+        assert abs(again.inner[split_of({1, 2}, 4)] - length) < 1e-12
         digits = text.split(":")[1].split(",")[0]
         assert len(digits.replace(".", "").lstrip("0")) >= 12
 
@@ -284,6 +316,17 @@ class TestTopologyCounts:
         one = random_binary_splits(7, np.random.default_rng(5))
         two = random_binary_splits(7, np.random.default_rng(5))
         assert one == two
+
+
+@pytest.mark.parametrize("n_leaves", [*range(4, 21), 32, 64])
+def test_random_binary_splits_matches_reference(n_leaves):
+    # the same splits from the same edge picks: the generator is left in
+    # the same state, so the next draw agrees too
+    for seed in range(50 if n_leaves > 20 else 60):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        splits = random_binary_splits(n_leaves, rng)
+        assert splits == reference_random_binary_splits(n_leaves, ref)
+        assert rng.integers(1 << 62) == ref.integers(1 << 62)
 
 
 class TestSamplesFile:
