@@ -155,6 +155,21 @@ class Tree:
         )
 
 
+def _length_problems(tree: Tree) -> list[str]:
+    """Edge lengths that are not positive and finite (NaN fails both tests)."""
+    problems = [
+        f"non-positive or non-finite length on leaf edge {i}"
+        for i, length in enumerate(tree.leaf_lengths)
+        if not 0.0 < length < math.inf
+    ]
+    problems += [
+        f"non-positive or non-finite length on inner edge {split}"
+        for split, length in tree.inner.items()
+        if not 0.0 < length < math.inf
+    ]
+    return problems
+
+
 def validate(tree: Tree) -> list[str]:
     """Return all violated tree invariants (empty list when valid)."""
     problems = []
@@ -164,19 +179,14 @@ def validate(tree: Tree) -> list[str]:
             f"leaf length vector has {len(tree.leaf_lengths)} entries, "
             f"expected {n_leaves}"
         )
-    # NaN fails both comparisons
-    for i, length in enumerate(tree.leaf_lengths):
-        if not 0.0 < length < math.inf:
-            problems.append(f"non-positive or non-finite length on leaf edge {i}")
+    problems += _length_problems(tree)
     if len(tree.inner) > n_leaves - 3:
         problems.append(
             f"{len(tree.inner)} inner splits exceeds maximum {n_leaves - 3}"
         )
-    for split, length in tree.inner.items():
+    for split in tree.inner:
         if split.n_leaves != n_leaves:
             problems.append(f"{split} is over {split.n_leaves} leaves, tree has {n_leaves}")
-        if not 0.0 < length < math.inf:
-            problems.append(f"non-positive or non-finite length on inner edge {split}")
     ordered = sorted(s for s in tree.inner if s.n_leaves == n_leaves)
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
@@ -420,7 +430,14 @@ def parse_newick(
         return below
 
     walk(root, is_root=True)
-    return check(Tree(taxa, tuple(leaf_lengths), inner))
+    tree = Tree(taxa, tuple(leaf_lengths), inner)
+    # one parenthesization gives every leaf one length and laminar splits,
+    # so only a length can break `validate`: one part, or a sum of parts,
+    # that overflowed
+    problems = _length_problems(tree)
+    if problems:
+        raise InvalidTreeError(problems)
+    return tree
 
 
 def serialize_newick(tree: Tree) -> str:

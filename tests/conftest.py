@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from bhvphylo import phylo_model
-from bhvphylo.phylo_model import DirichletPrior
-from bhvphylo.treespace import Split, TaxonTable, Tree, random_binary_splits, tree_topology
+from bhvphylo.phylo_model import Alignment, DirichletPrior
+from bhvphylo.treespace import Split, TaxonTable, Tree, random_binary_splits
 
 
 def split_of(leaves, n_leaves: int) -> Split:
@@ -84,16 +84,24 @@ def trees_close(a: Tree, b: Tree, tol: float = 1e-12) -> bool:
 
 def column_poly(tree: Tree, column) -> dict:
     """The column likelihood as a polynomial in the stationary distribution,
-    {exponents: coefficient} with one exponent per symbol, as the pruning in
-    `log_likelihood` computes it (its power-of-two scale applied)."""
-    terms, scale = phylo_model._column_terms(tree_topology(tree), tuple(column))
-    scaled = {e: math.ldexp(c, scale) for e, c in terms.items()}
+    {exponents: coefficient} with one exponent per symbol, as the plan that
+    `log_likelihood` compiles for a one-pattern alignment computes it (its
+    power-of-two scale applied)."""
+    alignment = Alignment.from_columns(tree.taxa, [tuple(column)])
+    (plan,) = phylo_model._plans(tree, alignment, DirichletPrior().alpha)
+    lengths = phylo_model._slot_lengths(tree, plan)
+    coefficients, scale = phylo_model._final_coefficients(plan, lengths)
+    scaled = {
+        tuple(int(e) for e in exponents): math.ldexp(float(c), int(scale[0]))
+        for exponents, c in zip(plan.exponents, coefficients)
+    }
     return {e: c for e, c in scaled.items() if c != 0.0}
 
 
 def dirichlet_moment(counts, prior: DirichletPrior) -> float:
     """The simplex integral of one monomial against the Dirichlet prior,
-    from the log moment `log_likelihood` integrates each term with."""
+    from the log moments `log_likelihood` integrates each term with."""
     if any(c < 0 or c != int(c) for c in counts):
         raise ValueError("counts must be nonnegative integers")
-    return math.exp(phylo_model._log_moment(tuple(counts), prior.alpha))
+    exponents = np.array([[int(c) for c in counts]])
+    return math.exp(phylo_model._log_moments(exponents, prior.alpha)[0])

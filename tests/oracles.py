@@ -10,9 +10,12 @@ dict-of-dicts residual graph), so the fast path must reproduce it bit
 for bit.  The random topology and the exhaustive enumeration grow an
 explicit adjacency graph and read each split off by a search, where the
 program keeps clade masks; the random one must pick the same edges and
-return the same splits.  `median_objective` is the exception: it sums the program's own
-distances, for tests that compare an estimate's objective with an
-oracle's.  This module imports the package and nothing from the tests,
+return the same splits.  The reference dict pruning is the likelihood
+as the program computed it before it compiled plans, kept verbatim (it
+shares `mutation_prob` with the program); the plans must match it to
+1e-12 relative.  `median_objective` is the exception: it sums the
+program's own distances, for tests that compare an estimate's objective
+with an oracle's.  This module imports the package and nothing from the tests,
 so that `perfbench/verify.py` can load it on its own.
 """
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from bhvphylo.geodesic import GeodesicPath, SupportPair, distance
 from bhvphylo.maxflow import FlowNetwork
+from bhvphylo.phylo_model import N_SYMBOLS, ColumnLikelihoodError, mutation_prob
 from bhvphylo.treespace import Split, Tree, compatible, tree_topology
 
 
@@ -450,6 +454,160 @@ def raw_theta_log_likelihood(tree: Tree, columns, alpha) -> float:
                 log_moment += math.lgamma(a + e) - math.lgamma(a)
             value += coeff * math.exp(log_moment)
         total += math.log(value)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Reference dict pruning over component statuses
+#
+# The program's likelihood until it compiled pruning plans, kept verbatim:
+# status polynomials as {packed exponents: coefficient} dicts, one column
+# at a time, with the same power-of-two rescaling.  The batched plans must
+# match it to 1e-12 relative.
+
+def _reference_log_moment(counts: tuple[int, ...], alpha: tuple[float, ...]) -> float:
+    total_alpha = sum(alpha)
+    total = sum(counts)
+    value = math.lgamma(total_alpha) - math.lgamma(total_alpha + total)
+    for a, count in zip(alpha, counts):
+        if count:
+            value += math.lgamma(a + count) - math.lgamma(a)
+    return value
+
+
+# Polynomials are bare {exponents: coefficient} dicts.  Inside pruning a
+# term's key packs its exponent vector into one int, `width` bits per
+# symbol, so multiplying two monomials is one integer addition.  An
+# exponent never exceeds the leaf count, so width = n_leaves.bit_length()
+# leaves no carry between symbols.
+
+# status polynomials are scaled by a power of two (exactly) once their
+# largest coefficient falls below this
+_RESCALE_BELOW = 2.0**-256
+_LOG2 = math.log(2.0)
+
+
+def _product(left: dict, right: dict) -> dict:
+    if len(left) > len(right):
+        left, right = right, left
+    out: dict = {}
+    for ka, ca in left.items():
+        for kb, cb in right.items():
+            key = ka + kb
+            out[key] = out.get(key, 0.0) + ca * cb
+    return out
+
+
+def _add_into(accum: dict, terms: dict, factor: float = 1.0) -> None:
+    for key, coeff in terms.items():
+        accum[key] = accum.get(key, 0.0) + coeff * factor
+
+
+def _closed(empty: dict, shows: dict, units) -> dict:
+    """The open component closes: leafless adds 1, showing x adds theta_x."""
+    out = dict(empty)
+    for x, terms in shows.items():
+        unit = units[x]
+        for key, coeff in terms.items():
+            out[key + unit] = out.get(key + unit, 0.0) + coeff
+    return out
+
+
+def _rescale(empty: dict, shows: dict) -> tuple[int, float]:
+    """Multiply every status polynomial by 2**-k, exactly, when the largest
+    coefficient nears underflow; returns k (0 when nothing was scaled) and
+    the largest coefficient afterwards."""
+    states = [empty, *shows.values()]
+    peak = max((max(terms.values()) for terms in states if terms), default=0.0)
+    if peak == 0.0 or peak >= _RESCALE_BELOW:
+        return 0, peak
+    exponent = math.frexp(peak)[1]
+    factor = math.ldexp(1.0, -exponent)
+    for terms in states:
+        for key in terms:
+            terms[key] *= factor
+    return exponent, peak * factor
+
+
+def reference_column_terms(root, column) -> tuple[dict, int]:
+    """The column polynomial as ({exponents: coefficient}, scale); the
+    likelihood's coefficients are these times 2**scale.
+
+    Each vertex holds the status polynomials of the mutation-free
+    component open at it: `empty` while that component has no leaf
+    below, `shows[x]` once its leaves show symbol x.  Coefficients are
+    sums of products of probabilities, never differences.
+    """
+    width = len(column).bit_length()
+    units = [1 << (width * x) for x in range(N_SYMBOLS)]
+    scale = 0
+
+    def statuses(node) -> tuple[dict, dict, float]:
+        """Status polynomials at `node` and a lower bound on their largest
+        coefficient."""
+        nonlocal scale
+        if node.is_leaf():
+            return {}, {column[node.leaf]: {0: 1.0}}, 1.0
+        empty, shows, floor = {0: 1.0}, {}, 1.0
+        for child in node.children:
+            c_empty, c_shows, c_floor = statuses(child)
+            mut = mutation_prob(child.length)
+            stay = 1.0 - mut
+            # a mutation on the edge closes the child's component
+            m_empty = {k: c * mut for k, c in _closed(c_empty, c_shows, units).items()}
+            _add_into(m_empty, c_empty, stay)
+            m_shows = {
+                x: {k: c * stay for k, c in terms.items()}
+                for x, terms in c_shows.items()
+            }
+            folded = {}
+            for x in sorted(shows.keys() | m_shows.keys()):
+                terms: dict = {}
+                if x in shows:
+                    stays_x = m_empty
+                    if x in m_shows:
+                        stays_x = dict(m_empty)
+                        _add_into(stays_x, m_shows[x])
+                    _add_into(terms, _product(shows[x], stays_x))
+                if x in m_shows:
+                    _add_into(terms, _product(empty, m_shows[x]))
+                folded[x] = terms
+            empty, shows = _product(empty, m_empty), folded
+            # a message keeps at least half its child's largest coefficient,
+            # and folding it in keeps at least mut times both largest ones
+            floor *= c_floor * mut * 0.5
+            if floor < _RESCALE_BELOW:
+                exponent, floor = _rescale(empty, shows)
+                scale += exponent
+        return empty, shows, floor
+
+    empty, shows, _ = statuses(root)
+    packed = _closed(empty, shows, units)
+    mask = (1 << width) - 1
+    terms = {
+        tuple((key >> (width * x)) & mask for x in range(N_SYMBOLS)): coeff
+        for key, coeff in packed.items()
+        if coeff > 0.0
+    }
+    return terms, scale
+
+
+def reference_log_likelihood(tree: Tree, alignment, prior) -> float:
+    """Log likelihood of the whole alignment, marginalized over stationaries."""
+    if alignment.taxa != tree.taxa:
+        raise ValueError("alignment and tree are over different taxa")
+    root = tree_topology(tree)
+    alpha = prior.alpha
+    total = 0.0
+    for pattern, multiplicity in alignment.pattern_index.items():
+        terms, scale = reference_column_terms(root, pattern)
+        if not terms:
+            column = alignment.columns.index(pattern)
+            raise ColumnLikelihoodError(column, "likelihood underflow to zero")
+        logs = [math.log(c) + _reference_log_moment(e, alpha) for e, c in terms.items()]
+        peak = max(logs)
+        value = peak + math.log(sum(math.exp(l - peak) for l in logs)) + scale * _LOG2
+        total += multiplicity * value
     return total
 
 

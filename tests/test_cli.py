@@ -300,6 +300,16 @@ class TestEstimators:
         )
         assert main(["mean", str(path), "--seed", "1"]) == EXIT_INPUT
 
+    def test_overflowing_lengths_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        for text in (
+            "((A:0.1,B:0.2):1e999,C:0.3,O:0.1);",
+            "((A:1e308):1e308,B:0.2,C:0.3,O:0.1);",
+        ):
+            path.write_text(text + "\n")
+            assert main(["mean", str(path), "--seed", "1"]) == EXIT_INPUT
+            assert "non-finite" in capsys.readouterr().err
+
     def test_path_through_a_regular_file_is_input_error(self, tmp_path, capsys):
         regular = tmp_path / "trees.nwk"
         regular.write_text("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);\n")

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from bhvphylo.phylo_model import (
     log_prior,
     mutation_prob,
 )
+from bhvphylo.mcmc import ProposalConfig, RunConfig, nni_neighbors, run
 from bhvphylo.treespace import TaxonTable, Tree, tree_topology
 
 from conftest import column_poly, dirichlet_moment, make_taxa, random_tree, split_of
@@ -23,6 +26,7 @@ from oracles import (
     evaluate_terms,
     pruning_likelihood_vectorized,
     raw_theta_log_likelihood,
+    reference_log_likelihood,
     state_enumeration_likelihood,
 )
 
@@ -347,12 +351,13 @@ class TestLogLikelihood:
         # bad is the third pattern, first seen at column 3 and again at 4
         columns = [(0, 0, 0, 0), (0, 0, 0, 0), (3, 3, 3, 4), bad, bad]
         aln = Alignment.from_columns(taxa, columns)
-        real = phylo_model._column_terms
+        real = phylo_model._final_coefficients
 
-        def underflowing(root, column):
-            return ({}, 0) if column == bad else real(root, column)
+        def underflowing(plan, lengths):
+            coefficients, scale = real(plan, lengths)
+            return np.where(plan.cell_pattern == 2, 0.0, coefficients), scale
 
-        monkeypatch.setattr(phylo_model, "_column_terms", underflowing)
+        monkeypatch.setattr(phylo_model, "_final_coefficients", underflowing)
         with pytest.raises(ColumnLikelihoodError, match="^column 3: likelihood underflow"):
             log_likelihood(tree, aln, DirichletPrior())
 
@@ -377,6 +382,8 @@ class TestRawThetaOracle:
             got = log_likelihood(tree, aln, prior)
             want = raw_theta_log_likelihood(tree, columns, prior.alpha)
             worst = max(worst, abs(got - want) / abs(want))
+            reference = reference_log_likelihood(tree, aln, prior)
+            worst = max(worst, abs(got - reference) / abs(reference))
         assert worst <= 1e-12
 
     def test_matches_raw_theta_pruning_when_rescaled(self, rng):
@@ -389,9 +396,212 @@ class TestRawThetaOracle:
             shape = random_tree(taxa, rng, drop_probability=0.3)
             tree = log_uniform_lengths(shape, rng, 1e-55, 1e-45)
             columns = [shared_base_column(rng, n_leaves), random_column(rng, n_leaves)]
-            got = log_likelihood(tree, Alignment.from_columns(taxa, columns), prior)
+            aln = Alignment.from_columns(taxa, columns)
+            got = log_likelihood(tree, aln, prior)
             want = raw_theta_log_likelihood(tree, columns, prior.alpha)
             assert got == pytest.approx(want, rel=1e-12)
+            assert got == pytest.approx(reference_log_likelihood(tree, aln, prior), rel=1e-12)
+
+
+class TestBatchedRescaling:
+    def test_rescaled_and_unscaled_patterns_of_one_batch_match_the_oracle(self, rng):
+        # near 1e-50 a constant column keeps a coefficient near 1, while one
+        # showing every symbol needs four mutations and is rescaled
+        prior = DirichletPrior()
+        for _ in range(10):
+            n_leaves = int(rng.integers(5, 9))
+            taxa = make_taxa(n_leaves)
+            tree = log_uniform_lengths(random_tree(taxa, rng), rng, 1e-55, 1e-45)
+            columns = [(int(rng.integers(5)),) * n_leaves, tuple(i % 5 for i in range(n_leaves))]
+            aln = Alignment.from_columns(taxa, columns)
+            (plan,) = phylo_model._plans(tree, aln, prior.alpha)
+            _, scale = phylo_model._final_coefficients(plan, phylo_model._slot_lengths(tree, plan))
+            assert scale[0] == 0 and scale[1] < 0
+            values = phylo_model._pattern_log_likelihoods(tree, aln, prior)
+            for column, value in zip(columns, values):
+                want = raw_theta_log_likelihood(tree, [column], prior.alpha)
+                assert value == pytest.approx(want, rel=1e-12)
+
+    def test_64_taxa_below_the_double_range_match_the_dict_pruning(self, rng):
+        taxa = make_taxa(64)
+        shape = random_tree(taxa, rng)
+        tree = Tree(taxa, (1e-30,) * 64, {split: 1e-30 for split in shape.inner})
+        columns = [shared_base_column(rng, 64), (GAP,) * 64, random_column(rng, 64)]
+        aln = Alignment.from_columns(taxa, columns)
+        prior = DirichletPrior()
+        values = phylo_model._pattern_log_likelihoods(tree, aln, prior)
+        assert values.min() < math.log(5e-324)
+        for column, value in zip(columns, values):
+            one = Alignment.from_columns(taxa, [column])
+            assert value == pytest.approx(reference_log_likelihood(tree, one, prior), rel=1e-12)
+        assert math.isfinite(log_likelihood(tree, aln, prior))
+
+
+class TestPlanCache:
+    """A plan is compiled on a miss and reused on a hit; values must not
+    tell which."""
+
+    def test_cached_and_fresh_plans_give_the_same_bits(self, rng):
+        taxa = make_taxa(8)
+        columns = [shared_base_column(rng, 8) for _ in range(30)]
+        aln = Alignment.from_columns(taxa, columns)
+        prior = DirichletPrior()
+
+        def value(tree):
+            cached = log_likelihood(tree, aln, prior)
+            fresh = log_likelihood(tree, Alignment.from_columns(taxa, columns), prior)
+            assert cached.hex() == fresh.hex()
+            return cached
+
+        tree = random_tree(taxa, rng)
+        first = value(tree)
+        assert value(tree) == first
+        value(tree.with_leaf_length(3, 0.37))
+        value(tree.with_inner_length(sorted(tree.inner)[0], 0.01))
+        assert len(aln.plans) == 1
+        # an NNI there and back: the same splits, inserted in another order
+        edge = sorted(tree.inner)[1]
+        there = nni_neighbors(tree, edge)[0]
+        value(there)
+        (new,) = set(there.inner) - set(tree.inner)
+        (back,) = [t for t in nni_neighbors(there, new) if set(t.inner) == set(tree.inner)]
+        assert list(back.inner) != list(tree.inner)
+        assert value(back) == first
+        assert len(aln.plans) == 2
+        # more topologies than the cache holds evict the first one
+        for _ in range(phylo_model._PLAN_CAPACITY):
+            value(random_tree(taxa, rng))
+        assert len(aln.plans) == phylo_model._PLAN_CAPACITY
+        assert frozenset(s.bits for s in tree.inner) not in {k[0] for k in aln.plans}
+        assert value(tree) == first
+
+    def test_alignments_and_priors_never_share_a_plan(self, rng):
+        taxa = make_taxa(6)
+        tree = random_tree(taxa, rng)
+        first = Alignment.from_columns(taxa, [random_column(rng, 6) for _ in range(5)])
+        second = Alignment.from_columns(taxa, [random_column(rng, 6) for _ in range(5)])
+        priors = [DirichletPrior(), DirichletPrior((0.5, 1.0, 0.3, 0.2, 2.0))]
+        for _ in range(2):
+            for aln in (first, second):
+                for prior in priors:
+                    got = log_likelihood(tree, aln, prior)
+                    want = raw_theta_log_likelihood(tree, aln.columns, prior.alpha)
+                    assert got == pytest.approx(want, rel=1e-12)
+        assert len(first.plans) == len(second.plans) == 2
+        assert not {id(p) for p in first.plans.values()} & {
+            id(p) for p in second.plans.values()
+        }
+
+    def test_reruns_with_a_warm_cache_are_identical(self, rng):
+        taxa = make_taxa(6)
+        columns = [shared_base_column(rng, 6) for _ in range(40)]
+        aln = Alignment.from_columns(taxa, columns)
+        config = RunConfig(
+            chains=2, iterations=150, burn_in=30, proposal=ProposalConfig(tau=0.5, seed=4)
+        )
+
+        def outputs(alignment):
+            samples, trace = run(alignment, config)
+            return samples, [(r.log_posterior.hex(), r.accepted, r.move) for r in trace]
+
+        cold = outputs(aln)
+        assert outputs(aln) == cold
+        assert outputs(Alignment.from_columns(taxa, columns)) == cold
+
+
+class TestPatternBlocks:
+    """A plan too large for one block is compiled in several, and one too
+    large for the cache is compiled again at every call; neither may change
+    a value."""
+
+    def make(self, rng):
+        taxa = make_taxa(10)
+        columns = [shared_base_column(rng, 10) for _ in range(24)]
+        return random_tree(taxa, rng), Alignment.from_columns(taxa, columns), DirichletPrior()
+
+    def test_blocks_give_the_same_bits_as_one_plan(self, rng, monkeypatch):
+        tree, aln, prior = self.make(rng)
+        whole = phylo_model._pattern_log_likelihoods(tree, aln, prior)
+        ((plan,),) = aln.plans.values()
+        monkeypatch.setattr(phylo_model, "_BLOCK_PAIRS", plan.pairs // 5)
+        again = Alignment.from_columns(aln.taxa, aln.columns)
+        blocked = phylo_model._pattern_log_likelihoods(tree, again, prior)
+        (plans,) = again.plans.values()
+        assert len(plans) >= 5
+        firsts = [p.first for p in plans]
+        assert firsts == sorted(firsts) and firsts[0] == 0
+        assert [p.first + len(p.starts) for p in plans] == [*firsts[1:], len(aln.pattern_index)]
+        assert blocked.tobytes() == whole.tobytes()
+
+    def test_underflow_in_a_later_block_names_its_column(self, rng, monkeypatch):
+        taxa = make_taxa(4)
+        tree = random_tree(taxa, rng)
+        bad = (1, 1, 2, 2)
+        columns = [(0, 0, 0, 0), (0, 0, 0, 0), (3, 3, 3, 4), bad, bad]
+        aln = Alignment.from_columns(taxa, columns)
+        real = phylo_model._final_coefficients
+
+        def underflowing(plan, lengths):
+            coefficients, scale = real(plan, lengths)
+            return np.where(plan.first + plan.cell_pattern == 2, 0.0, coefficients), scale
+
+        # one pattern per block: the third pattern is the first of its block
+        monkeypatch.setattr(phylo_model, "_BLOCK_PAIRS", 0)
+        monkeypatch.setattr(phylo_model, "_final_coefficients", underflowing)
+        with pytest.raises(ColumnLikelihoodError, match="^column 3: likelihood underflow"):
+            log_likelihood(tree, aln, DirichletPrior())
+
+    def test_a_plan_over_the_cache_budget_is_not_kept(self, rng, monkeypatch):
+        tree, aln, prior = self.make(rng)
+        want = log_likelihood(tree, aln, prior)
+        ((plan,),) = aln.plans.values()
+        monkeypatch.setattr(phylo_model, "_CACHE_PAIRS", plan.pairs - 1)
+        again = Alignment.from_columns(aln.taxa, aln.columns)
+        for _ in range(2):
+            assert log_likelihood(tree, again, prior).hex() == want.hex()
+            assert not again.plans
+
+    def test_a_streamed_block_is_freed_before_the_next_is_evaluated(self, rng, monkeypatch):
+        tree, aln, prior = self.make(rng)
+        monkeypatch.setattr(phylo_model, "_BLOCK_PAIRS", 1000)
+        monkeypatch.setattr(phylo_model, "_CACHE_PAIRS", 0)
+        real = phylo_model._final_coefficients
+        seen, alive = [], []
+
+        def recording(plan, lengths):
+            alive.append(sum(ref() is not None for ref in seen))
+            seen.append(weakref.ref(plan))
+            return real(plan, lengths)
+
+        monkeypatch.setattr(phylo_model, "_final_coefficients", recording)
+        log_likelihood(tree, aln, prior)
+        assert len(seen) > 2 and alive == [0] * len(seen)
+
+    def test_the_cache_budget_evicts_before_the_capacity(self, rng, monkeypatch):
+        tree, aln, prior = self.make(rng)
+        trees = [tree, *(random_tree(aln.taxa, rng) for _ in range(2))]
+        for t in trees:
+            log_likelihood(t, aln, prior)
+        pairs = [plans[0].pairs for plans in aln.plans.values()]
+        assert len(pairs) == 3
+        monkeypatch.setattr(phylo_model, "_CACHE_PAIRS", pairs[1] + pairs[2])
+        again = Alignment.from_columns(aln.taxa, aln.columns)
+        for t in trees:
+            log_likelihood(t, again, prior)
+        assert list(again.plans) == list(aln.plans)[1:]
+
+    def test_compiling_leaves_no_reference_cycles(self, rng, monkeypatch):
+        # a cycle would keep a streamed plan's arrays until the collector runs
+        tree, aln, prior = self.make(rng)
+        monkeypatch.setattr(phylo_model, "_BLOCK_PAIRS", 1000)
+        monkeypatch.setattr(phylo_model, "_CACHE_PAIRS", 0)
+        gc.collect()
+        gc.disable()
+        try:
+            log_likelihood(tree, aln, prior)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestScale:

@@ -31,6 +31,26 @@ EXAMPLE_TREE_SPLITS = frozenset(
 )
 
 
+def random_newick(rng, n_leaves: int) -> str:
+    """Random rooted Newick text over taxa t00.. with polytomies, unary
+    vertices and a root of degree 2 to 4."""
+
+    def length() -> str:
+        return repr(float(rng.uniform(0.01, 1.0)))
+
+    parts = [f"t{i:02d}" for i in rng.permutation(n_leaves)]
+    root_degree = int(rng.integers(2, 5))
+    while len(parts) > root_degree:
+        k = int(rng.integers(2, min(4, len(parts) - root_degree + 1) + 1))
+        chosen = sorted(rng.choice(len(parts), k, replace=False), reverse=True)
+        group = [parts.pop(i) for i in chosen]
+        clade = "(" + ",".join(f"{g}:{length()}" for g in group) + ")"
+        if rng.uniform() < 0.2:
+            clade = f"({clade}:{length()})"
+        parts.append(clade)
+    return "(" + ",".join(f"{p}:{length()}" for p in parts) + ");"
+
+
 def four_intersections_compatible(a: Split, b: Split) -> bool:
     """Oracle: enumerate the four side intersections of the bipartitions."""
     universe = set(range(a.n_leaves))
@@ -241,6 +261,22 @@ class TestParseNewick:
         text += "".join(f",t{i}:1):1" for i in range(1, depth + 1)) + ";"
         with pytest.raises(NewickError, match="nested too deeply"):
             parse_newick(text)
+
+    def test_random_newick_parses_to_valid_trees(self, rng):
+        # parse_newick checks only lengths: one parenthesization gives every
+        # leaf one length and splits that are pairwise compatible
+        for _ in range(300):
+            n_leaves = int(rng.integers(4, 40))
+            text = random_newick(rng, n_leaves)
+            outgroup = f"t{int(rng.integers(n_leaves)):02d}"
+            assert validate(parse_newick(text, outgroup=outgroup)) == []
+
+    def test_overflowing_sums_of_lengths_rejected(self):
+        # a unary vertex above leaf A, and two root edges of one split
+        with pytest.raises(InvalidTreeError, match="non-finite length on leaf edge"):
+            parse_newick("((A:1e308):1e308,B:0.1,C:0.1,O:0.1);", outgroup="O")
+        with pytest.raises(InvalidTreeError, match="non-finite length on inner edge"):
+            parse_newick("((A:0.1,B:0.2):1e308,(C:0.3,D:0.1):1e308);")
 
     def test_internal_labels_ignored(self):
         tree = parse_newick("((A:0.1,B:0.2)97:0.05,C:0.3,O:0.1);", outgroup="O")
