@@ -1,0 +1,165 @@
+"""Per-call cost of Newick parsing, geodesics and max flow against taxon count.
+
+    python3 scripts/treespace_scaling.py
+
+Run from the root of a checkout; the program is imported from src/.  For
+each taxon count in TAXA the script draws one posterior-like set of TREES
+trees: six dominant topologies (a random binary backbone and five trees 20
+NNI moves from it), each tree 0-3 further NNI moves from one of them, with
+edge lengths jittered log-normally per tree.  It then times, as the summary
+commands meet them:
+
+- parse: `parse_newick` on each tree's serialization, against the taxon
+  table of the first, as `load_samples` reads the lines after the first;
+- geodesic: `geodesic` on the pairs (iterate, input tree) that
+  `frechet.mean` and `frechet.median` meet in STEPS steps each;
+- max flow: `max_flow` on every network those geodesics build.
+
+Each value is the median over REPEATS passes of the time per call.
+Prints one JSON object with, per taxon count, the three times and the
+number of calls and of networks and vertices behind them.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+
+import numpy as np  # noqa: E402
+
+from bhvphylo import frechet  # noqa: E402
+from bhvphylo import geodesic as geodesic_module  # noqa: E402
+from bhvphylo.frechet import EstimatorConfig  # noqa: E402
+from bhvphylo.geodesic import geodesic  # noqa: E402
+from bhvphylo.maxflow import max_flow  # noqa: E402
+from bhvphylo.mcmc import nni_neighbors  # noqa: E402
+from bhvphylo.treespace import (  # noqa: E402
+    TaxonTable,
+    Tree,
+    parse_newick,
+    random_binary_splits,
+    serialize_newick,
+)
+
+TAXA = (8, 16, 32, 64)
+TREES = 30
+STEPS = 100
+REPEATS = 5
+SEED = 1
+DOMINANTS = 6
+MODE_MOVES = 20
+TAIL_MOVES = 3
+JITTER = 0.25
+
+
+def nni_walk(tree: Tree, moves: int, rng) -> Tree:
+    for _ in range(moves):
+        edges = sorted(tree.inner)
+        edge = edges[int(rng.integers(len(edges)))]
+        tree = nni_neighbors(tree, edge)[int(rng.integers(2))]
+    return tree
+
+
+def posterior_like(n_taxa: int, trees: int, rng) -> list[Tree]:
+    taxa = TaxonTable(tuple(f"t{i:02d}" for i in range(n_taxa)))
+    backbone = Tree(
+        taxa,
+        tuple(float(x) for x in rng.gamma(2.0, 0.05, n_taxa) + 0.01),
+        {s: float(rng.gamma(2.0, 0.05)) + 0.01 for s in sorted(random_binary_splits(n_taxa, rng))},
+    )
+    dominants = [backbone] + [nni_walk(backbone, MODE_MOVES, rng) for _ in range(DOMINANTS - 1)]
+    out = []
+    for k in range(trees):
+        tree = nni_walk(dominants[k % DOMINANTS], int(rng.integers(0, TAIL_MOVES + 1)), rng)
+        out.append(Tree(
+            taxa,
+            tuple(l * float(np.exp(rng.normal(0.0, JITTER))) for l in tree.leaf_lengths),
+            {s: l * float(np.exp(rng.normal(0.0, JITTER))) for s, l in tree.inner.items()},
+        ))
+    return out
+
+
+def per_call(call, items, repeats: int) -> float:
+    """Median over `repeats` passes of the seconds per call."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for item in items:
+            call(*item)
+        times.append((time.perf_counter() - start) / len(items))
+    return statistics.median(times)
+
+
+def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
+    tree_set = posterior_like(n_taxa, trees, rng)
+    lines = [serialize_newick(tree) for tree in tree_set]
+    taxa = parse_newick(lines[0]).taxa
+    parse_s = per_call(lambda line: parse_newick(line, taxa=taxa), [(l,) for l in lines], repeats)
+
+    pairs = []
+    real_geodesic = frechet.geodesic
+
+    def recording(s, t):
+        pairs.append((s, t))
+        return real_geodesic(s, t)
+
+    frechet.geodesic = recording
+    try:
+        trees_read = [parse_newick(line, taxa=taxa) for line in lines]
+        frechet.mean(trees_read, EstimatorConfig(iterations=steps, seed=1))
+        frechet.median(trees_read, EstimatorConfig(iterations=steps, seed=2))
+    finally:
+        frechet.geodesic = real_geodesic
+    geodesic_s = per_call(geodesic, pairs, repeats)
+
+    networks = []
+
+    def keeping(net):
+        networks.append(net)
+        return max_flow(net)
+
+    geodesic_module.max_flow = keeping
+    try:
+        for s, t in pairs:
+            geodesic(s, t)
+    finally:
+        geodesic_module.max_flow = max_flow
+    max_flow_s = per_call(max_flow, [(net,) for net in networks], repeats) if networks else 0.0
+    vertices = sum(len(net.a_weights) + len(net.b_weights) for net in networks)
+    return {
+        "taxa": n_taxa,
+        "parse_ms": round(1e3 * parse_s, 4),
+        "geodesic_ms": round(1e3 * geodesic_s, 4),
+        "max_flow_us": round(1e6 * max_flow_s, 2),
+        "lines": len(lines),
+        "geodesics": len(pairs),
+        "networks_per_geodesic": round(len(networks) / len(pairs), 3),
+        "vertices_per_network": round(vertices / len(networks), 3) if networks else 0.0,
+    }
+
+
+def main() -> int:
+    rng = np.random.default_rng(SEED)
+    rows = []
+    for n_taxa in TAXA:
+        rows.append(measure(n_taxa, TREES, STEPS, REPEATS, rng))
+        print(json.dumps(rows[-1]), file=sys.stderr)
+    host = (f"{platform.machine()}, {os.cpu_count()} cores, "
+            f"Python {platform.python_version()}, numpy {np.__version__}")
+    print(json.dumps({
+        "command": "python3 scripts/treespace_scaling.py",
+        "host": host,
+        "rows": rows,
+    }, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,6 +10,7 @@ trees are visited in random order by default, or cyclically.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -35,8 +36,8 @@ class EstimatorConfig:
             raise ValueError(f"order must be 'random' or 'cyclic', got {self.order!r}")
         if self.iterations is not None and self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if self.tolerance < 0:
-            raise ValueError("tolerance must be nonnegative")
+        if not 0.0 <= self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
 
 
 def _drop_tiny_splits(tree: Tree) -> Tree:

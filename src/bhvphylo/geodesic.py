@@ -24,6 +24,7 @@ exactly when they meet and neither contains the other.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .maxflow import FlowNetwork, max_flow
@@ -95,6 +96,20 @@ class GeodesicPath:
         return Tree(source.taxa, leaf_lengths, inner)
 
 
+def _conflict_rows(a_bits: list[int], b_bits: list[int]) -> list[int]:
+    """Bit j of row i is set when mask a_bits[i] conflicts with b_bits[j]."""
+    columns = list(zip(b_bits, [1 << j for j in range(len(b_bits))]))
+    rows = []
+    for x in a_bits:
+        row = 0
+        for y, bit in columns:
+            meet = x & y
+            if meet and meet != x and meet != y:
+                row |= bit
+        rows.append(row)
+    return rows
+
+
 def _refine(
     a_items: list[tuple[Split, float]],
     b_items: list[tuple[Split, float]],
@@ -106,12 +121,13 @@ def _refine(
     # a cut must leave splits of both trees in both halves, so a side
     # holding one split ends the refinement without a max flow
     if len(a_items) > 1 and len(b_items) > 1:
+        b_bits = [b.bits for b, _ in b_items]
         edges = []
         for i, (a, _) in enumerate(a_items):
             x = a.bits
-            for j, (b, _) in enumerate(b_items):
-                meet = x & b.bits
-                if meet and meet != x and meet != b.bits:
+            for j, y in enumerate(b_bits):
+                meet = x & y
+                if meet and meet != x and meet != y:
                     edges.append((i, j))
         net = FlowNetwork(
             tuple(l * l / norm_a2 for _, l in a_items),
@@ -141,10 +157,6 @@ def _refine(
     )
 
 
-def _bits(split: Split) -> int:
-    return split.bits
-
-
 def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     """Compute the geodesic path between two trees over the same taxa."""
     if s.taxa != t.taxa:
@@ -152,45 +164,44 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
 
     s_splits, t_splits = set(s.inner), set(t.inner)
-    s_only = sorted(s_splits - t_splits, key=_bits)
-    t_only = sorted(t_splits - s_splits, key=_bits)
-    shared = sorted(s_splits & t_splits, key=_bits)
+    # a split is the tuple (bits, n_leaves), so these sort by mask
+    s_only = sorted(s_splits - t_splits)
+    t_only = sorted(t_splits - s_splits)
+    shared = sorted(s_splits & t_splits)
 
     # Splits of one tree compatible with everything on the other side do
     # not interact with the conflict: they travel as common edges whose
     # partner length is zero.
-    s_conflicts = [False] * len(s_only)
-    t_conflicts = [False] * len(t_only)
-    for i, a in enumerate(s_only):
-        x = a.bits
-        for j, b in enumerate(t_only):
-            meet = x & b.bits
-            if meet and meet != x and meet != b.bits:
-                s_conflicts[i] = t_conflicts[j] = True
+    rows = _conflict_rows([a.bits for a in s_only], [b.bits for b in t_only])
+    t_hit = 0
+    for row in rows:
+        t_hit |= row
     common = [(c, s.inner[c], t.inner[c]) for c in shared]
-    common += [(a, s.inner[a], 0.0) for a, hit in zip(s_only, s_conflicts) if not hit]
-    common += [(b, 0.0, t.inner[b]) for b, hit in zip(t_only, t_conflicts) if not hit]
-    common.sort(key=lambda entry: entry[0].bits)
-
-    a_rest = [a for a, hit in zip(s_only, s_conflicts) if hit]
-    b_rest = [b for b, hit in zip(t_only, t_conflicts) if hit]
+    common += [(a, s.inner[a], 0.0) for a, row in zip(s_only, rows) if not row]
+    common += [(b, 0.0, t.inner[b]) for j, b in enumerate(t_only) if not t_hit >> j & 1]
+    common.sort()
 
     # The common splits form a laminar family that cuts the conflict into
     # independent components; every incompatibility stays inside one
     # component, so refinement runs per component.
     cut_masks = sorted((c.bits for c, _, _ in common), key=int.bit_count)
+    cut_sizes = [mask.bit_count() for mask in cut_masks]
 
-    def region(split: Split) -> int:
-        for mask in cut_masks:
-            if split.bits & mask == split.bits and split.bits != mask:
+    def region(x: int) -> int:
+        # the smallest common split strictly containing x; smaller or
+        # equal sizes cannot contain it
+        for mask in cut_masks[bisect_right(cut_sizes, x.bit_count()) :]:
+            if x & mask == x:
                 return mask
         return -1
 
     regions: dict[int, tuple[list, list]] = {}
-    for a in a_rest:
-        regions.setdefault(region(a), ([], []))[0].append((a, s.inner[a]))
-    for b in b_rest:
-        regions.setdefault(region(b), ([], []))[1].append((b, t.inner[b]))
+    for a, row in zip(s_only, rows):
+        if row:
+            regions.setdefault(region(a.bits), ([], []))[0].append((a, s.inner[a]))
+    for j, b in enumerate(t_only):
+        if t_hit >> j & 1:
+            regions.setdefault(region(b.bits), ([], []))[1].append((b, t.inner[b]))
 
     supports: list[SupportPair] = []
     for key in sorted(regions):

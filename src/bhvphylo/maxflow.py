@@ -33,20 +33,28 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class FlowNetwork:
-    """Vertex weights for the two sides plus the incompatibility edges."""
+    """Vertex weights for the two sides plus the incompatibility edges.
+
+    Sequences that are not already tuples (of pairs, for the edges) are
+    copied into tuples; the geodesic passes tuples and skips the copies.
+    """
 
     a_weights: tuple[float, ...]
     b_weights: tuple[float, ...]
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a_weights", tuple(self.a_weights))
-        object.__setattr__(self, "b_weights", tuple(self.b_weights))
-        object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
-        if any(w < 0 for w in self.a_weights + self.b_weights):
+        if type(self.a_weights) is not tuple:
+            object.__setattr__(self, "a_weights", tuple(self.a_weights))
+        if type(self.b_weights) is not tuple:
+            object.__setattr__(self, "b_weights", tuple(self.b_weights))
+        if type(self.edges) is not tuple or not all(type(e) is tuple for e in self.edges):
+            object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        if any(w < 0 for w in self.a_weights) or any(w < 0 for w in self.b_weights):
             raise ValueError("vertex weights must be nonnegative")
+        na, nb = len(self.a_weights), len(self.b_weights)
         for i, j in self.edges:
-            if not (0 <= i < len(self.a_weights) and 0 <= j < len(self.b_weights)):
+            if not (0 <= i < na and 0 <= j < nb):
                 raise ValueError(f"edge ({i},{j}) out of range")
 
 

@@ -55,8 +55,8 @@ class ProposalConfig:
     def __post_init__(self):
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie strictly between 0 and 1")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,8 @@ class DirichletPrior:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if len(self.alpha) != N_SYMBOLS:
             raise ValueError(f"need {N_SYMBOLS} pseudocounts")
-        if any(a <= 0 for a in self.alpha):
-            raise ValueError("pseudocounts must be positive")
+        if not all(0.0 < a < math.inf for a in self.alpha):
+            raise ValueError("pseudocounts must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -144,8 +144,8 @@ class GammaPrior:
     scale: float = 0.1
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
-            raise ValueError("shape and scale must be positive")
+        if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
+            raise ValueError("shape and scale must be finite and positive")
 
     def log_density(self, length: float) -> float:
         if length <= 0:

@@ -4,9 +4,11 @@ A tree over leaves 0..n is stored as a taxon table (index 0 is the
 outgroup leaf), a dense vector of n+1 leaf edge lengths, and a map from
 inner-edge splits to positive lengths.  Splits are normalized to the
 side of the bipartition that does not contain leaf 0 and kept as
-bitmasks, so compatibility reduces to three mask tests.  Inner edges of
-length zero are represented by absence from the map; trees with fewer
-than n-2 inner edges are valid non-binary trees.
+bitmasks, so compatibility reduces to three mask tests; a split is the
+tuple (bits, n_leaves), so dict and set lookups of splits hash and
+compare in C.  Inner edges of length zero are represented by absence
+from the map; trees with fewer than n-2 inner edges are valid non-binary
+trees.
 
 All types are immutable after construction and safe to share across
 threads.
@@ -14,8 +16,11 @@ threads.
 
 from __future__ import annotations
 
+import itertools
 import math
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class NewickError(ValueError):
@@ -68,23 +73,32 @@ class TaxonTable:
             raise KeyError(f"unknown taxon {name!r}") from None
 
 
-@dataclass(frozen=True, order=True)
-class Split:
-    """One inner-edge bipartition, as the bitmask of the side without leaf 0."""
-
+class _SplitFields(NamedTuple):
     bits: int
     n_leaves: int
 
-    def __post_init__(self):
-        if self.bits & 1:
+
+class Split(_SplitFields):
+    """One inner-edge bipartition, as the bitmask of the side without leaf 0.
+
+    A split is the tuple ``(bits, n_leaves)``, so hashing, equality and
+    ordering run in the tuple's C code: a split hashes as that tuple and
+    sorts by its mask first.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, bits: int, n_leaves: int):
+        if bits & 1:
             raise ValueError("split mask must not contain leaf 0")
-        if self.bits >> self.n_leaves:
+        if bits >> n_leaves:
             raise ValueError("split mask outside leaf range")
-        size = self.size
-        if size < 2 or size > self.n_leaves - 2:
+        size = bits.bit_count()
+        if size < 2 or size > n_leaves - 2:
             raise ValueError(
-                f"split side must have 2..{self.n_leaves - 2} leaves, got {size}"
+                f"split side must have 2..{n_leaves - 2} leaves, got {size}"
             )
+        return tuple.__new__(cls, (bits, n_leaves))
 
     @property
     def size(self) -> int:
@@ -280,75 +294,88 @@ def _sort_children(node: Node) -> None:
 # ---------------------------------------------------------------------------
 # Newick
 
-class _Parser:
+# One token per match, after any whitespace: a length (the colon and its
+# number text, which may be empty), a punctuation mark, or a run of label
+# text up to the next of (),:;
+_TOKEN = re.compile(r"\s*(:\s*[\d.eE+-]*|[(),;]|[^(),:;\s][^(),:;]*)")
+
+
+class _Reader:
+    """Recursive descent over the tokens of one line, one frame per level.
+
+    Nodes are appended to `entries` in postorder as (label, length, token
+    index): the label is a leaf's taxon name or an inner vertex's child
+    count, and the length is None only at the root.  Offsets are worked
+    out only for an error: they are those of a reader that walks the text
+    character by character.
+    """
+
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")  # end of input
+        self.entries: list[tuple[str | int, float | None, int]] = []
+        self.names: list[str] = []  # the leaves' labels, in order
 
-    def error(self, message: str):
-        raise NewickError(message, self.pos)
+    def offset(self, k: int, where: str = "token") -> int:
+        """Offset of token k: its first character, or the end of the token
+        before it ("node"), or the start of its number text ("number")."""
+        if k == len(self.tokens) - 1:
+            return len(self.text)
+        match = next(itertools.islice(_TOKEN.finditer(self.text), k, None))
+        if where == "node":
+            return match.start()
+        if where == "number":
+            return match.end() - len(match.group(1)[1:].lstrip())
+        return match.start(1)
 
-    def peek(self) -> str:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        if self.pos >= len(self.text):
-            self.error("unexpected end of input")
-        return self.text[self.pos]
+    def error(self, message: str, k: int, where: str = "token"):
+        if not self.tokens[k]:
+            message = "unexpected end of input"
+        raise NewickError(message, self.offset(k, where))
 
-    def take(self, char: str) -> None:
-        if self.peek() != char:
-            self.error(f"expected {char!r}")
-        self.pos += 1
-
-    def name(self) -> str:
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] not in _NAME_STOP:
-            self.pos += 1
-        name = self.text[start : self.pos].strip()
-        if not name:
-            self.pos = start
-            self.error("expected a taxon name")
-        return name
-
-    def length(self) -> float:
-        self.take(":")
-        self.peek()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isdigit() or self.text[self.pos] in ".eE+-"
-        ):
-            self.pos += 1
-        token = self.text[start : self.pos]
-        try:
-            value = float(token)
-        except ValueError:
-            self.pos = start
-            self.error(f"bad branch length {token!r}")
-        return value
-
-    def node(self, is_root: bool):
-        """Returns (name, children, length, offset); length None only at root."""
-        offset = self.pos
-        if self.peek() == "(":
-            self.take("(")
-            children = [self.node(False)]
-            while self.peek() == ",":
-                self.take(",")
-                children.append(self.node(False))
-            self.take(")")
-            name = None
-            if self.peek() not in _NAME_STOP:
-                self.name()  # internal node label (e.g. support value), ignored
+    def node(self, k: int, is_root: bool) -> int:
+        """Read the node starting at token k; return the index after it."""
+        tokens = self.tokens
+        start = k
+        token = tokens[k]
+        if token == "(":
+            label = 0
+            while True:
+                k = self.node(k + 1, False)
+                label += 1
+                token = tokens[k]
+                if token != ",":
+                    break
+            if token != ")":
+                self.error("expected ')'", k)
+            k += 1
+            token = tokens[k]
+            if token and token[0] not in _NAME_STOP:
+                k += 1  # internal node label (e.g. support value), ignored
+                token = tokens[k]
+        elif token and token[0] not in _NAME_STOP:
+            label = token.rstrip()
+            self.names.append(label)
+            k += 1
+            token = tokens[k]
         else:
-            name = self.name()
-            children = []
+            self.error("expected a taxon name", k)
         length = None
-        if self.peek() == ":":
-            length = self.length()
-        if length is None and not is_root:
-            self.error("missing branch length")
-        return name, children, length, offset
+        if not token:
+            self.error("unexpected end of input", k)
+        if token[0] == ":":
+            try:
+                length = float(token[1:])
+            except ValueError:
+                if not tokens[k + 1] and not token[1:].strip():
+                    self.error("unexpected end of input", k + 1)
+                self.error(f"bad branch length {token[1:].lstrip()!r}", k, "number")
+            k += 1
+        elif not is_root:
+            self.error("missing branch length", k)
+        self.entries.append((label, None if is_root else length, start))
+        return k
 
 
 def parse_newick(
@@ -360,31 +387,28 @@ def parse_newick(
     """Parse one rooted Newick string into a Tree.
 
     Every edge must carry a branch length (a length on the root vertex is
-    ignored).  The outgroup taxon becomes leaf 0; by default it is the
-    first-listed taxon, unless an existing taxon table fixes the order.
+    ignored), and nothing but whitespace may follow the closing ';'.  The
+    outgroup taxon becomes leaf 0; by default it is the first-listed
+    taxon, unless an existing taxon table fixes the order.
     """
-    parser = _Parser(text)
+    reader = _Reader(text)
     try:
-        root = parser.node(True)
+        k = reader.node(0, True)
     except RecursionError:
-        # walking the parsed nodes below recurses no deeper than this
         raise NewickError("nested too deeply") from None
-    if parser.peek() != ";":
-        parser.error("expected ';'")
-    parser.pos += 1
+    if reader.tokens[k] != ";":
+        reader.error("expected ';'", k)
+    if reader.tokens[k + 1]:
+        reader.error("unexpected text after ';'", k + 1)
 
-    names: list[str] = []
-
-    def collect(node):
-        name, children, _, offset = node
-        if not children:
-            if name in names:
-                raise NewickError(f"duplicate taxon {name!r}", offset)
-            names.append(name)
-        for child in children:
-            collect(child)
-
-    collect(root)
+    names = reader.names
+    if len(set(names)) != len(names):
+        seen = set()
+        for label, _, start in reader.entries:
+            if isinstance(label, str):
+                if label in seen:
+                    raise NewickError(f"duplicate taxon {label!r}", reader.offset(start, "node"))
+                seen.add(label)
     if len(names) < 4:
         raise NewickError(f"fewer than 4 leaves ({len(names)})")
 
@@ -404,32 +428,43 @@ def parse_newick(
 
     n_leaves = taxa.size
     full = (1 << n_leaves) - 1
+    leaf_index = {name: i for i, name in enumerate(taxa.names)}
     leaf_lengths = [0.0] * n_leaves
     inner: dict[Split, float] = {}
-
-    def walk(node, is_root: bool = False) -> int:
-        name, children, length, offset = node
-        if children:
-            below = 0
-            for child in children:
-                below |= walk(child)
-        else:
-            below = 1 << taxa.index(name)
-        if length is not None and not is_root:
+    # postorder: an inner vertex takes the masks of its children off the
+    # stack; a leaf is never the root, so it always has a length
+    stack: list[int] = []
+    for label, length, start in reader.entries:
+        if isinstance(label, str):
+            leaf = leaf_index[label]
+            stack.append(1 << leaf)
             if not length > 0.0:
-                raise NewickError(f"zero/negative branch length {length!r}", offset)
-            side = below if not below & 1 else full ^ below
-            count = side.bit_count()
-            if count == 1:
-                leaf_lengths[_min_leaf(side)] += length
-            elif count == n_leaves - 1:
-                leaf_lengths[0] += length
-            else:
-                split = Split(side, n_leaves)
-                inner[split] = inner.get(split, 0.0) + length
-        return below
+                raise NewickError(
+                    f"zero/negative branch length {length!r}", reader.offset(start, "node")
+                )
+            leaf_lengths[leaf] += length
+            continue
+        below = 0
+        for mask in stack[-label:]:
+            below |= mask
+        del stack[-label:]
+        stack.append(below)
+        if length is None:
+            continue
+        if not length > 0.0:
+            raise NewickError(
+                f"zero/negative branch length {length!r}", reader.offset(start, "node")
+            )
+        side = below if not below & 1 else full ^ below
+        count = side.bit_count()
+        if count == 1:
+            leaf_lengths[_min_leaf(side)] += length
+        elif count == n_leaves - 1:
+            leaf_lengths[0] += length
+        else:
+            split = Split(side, n_leaves)
+            inner[split] = inner.get(split, 0.0) + length
 
-    walk(root, is_root=True)
     tree = Tree(taxa, tuple(leaf_lengths), inner)
     # one parenthesization gives every leaf one length and laminar splits,
     # so only a length can break `validate`: one part, or a sum of parts,

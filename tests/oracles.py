@@ -13,7 +13,11 @@ program keeps clade masks; the random one must pick the same edges and
 return the same splits.  The reference dict pruning is the likelihood
 as the program computed it before it compiled plans, kept verbatim (it
 shares `mutation_prob` with the program); the plans must match it to
-1e-12 relative.  `median_objective` is the exception: it sums the
+1e-12 relative.  The reference Newick reader is the character-level
+recursive descent the program used before it tokenized each line, kept
+verbatim; the tokenizing reader must return the same tree or raise the
+same class of exception, except that it rejects text after the `;`.
+`median_objective` is the exception: it sums the
 program's own distances, for tests that compare an estimate's objective
 with an oracle's.  This module imports the package and nothing from the tests,
 so that `perfbench/verify.py` can load it on its own.
@@ -30,7 +34,18 @@ import numpy as np
 from bhvphylo.geodesic import GeodesicPath, SupportPair, distance
 from bhvphylo.maxflow import FlowNetwork
 from bhvphylo.phylo_model import N_SYMBOLS, ColumnLikelihoodError, mutation_prob
-from bhvphylo.treespace import Split, Tree, compatible, tree_topology
+from bhvphylo.treespace import (
+    _NAME_STOP,
+    InvalidTreeError,
+    NewickError,
+    Split,
+    TaxonTable,
+    Tree,
+    _length_problems,
+    _min_leaf,
+    compatible,
+    tree_topology,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +660,174 @@ def weiszfeld_median(points: np.ndarray, steps: int = 2000) -> np.ndarray:
             return new
         current = new
     return current
+
+
+# ---------------------------------------------------------------------------
+# Reference Newick reader: a character-level recursive descent
+#
+# The program's reader until it tokenized each line, kept verbatim.  It
+# stops at the first ';' and ignores whatever follows; the program rejects
+# anything but whitespace there.  Everything else -- the tree, or the
+# class of the exception -- must agree.
+
+class _ReferenceParser:
+    def __init__(self, text: str):
+        self.text = text
+        self.pos = 0
+
+    def error(self, message: str):
+        raise NewickError(message, self.pos)
+
+    def peek(self) -> str:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+        if self.pos >= len(self.text):
+            self.error("unexpected end of input")
+        return self.text[self.pos]
+
+    def take(self, char: str) -> None:
+        if self.peek() != char:
+            self.error(f"expected {char!r}")
+        self.pos += 1
+
+    def name(self) -> str:
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos] not in _NAME_STOP:
+            self.pos += 1
+        name = self.text[start : self.pos].strip()
+        if not name:
+            self.pos = start
+            self.error("expected a taxon name")
+        return name
+
+    def length(self) -> float:
+        self.take(":")
+        self.peek()
+        start = self.pos
+        while self.pos < len(self.text) and (
+            self.text[self.pos].isdigit() or self.text[self.pos] in ".eE+-"
+        ):
+            self.pos += 1
+        token = self.text[start : self.pos]
+        try:
+            value = float(token)
+        except ValueError:
+            self.pos = start
+            self.error(f"bad branch length {token!r}")
+        return value
+
+    def node(self, is_root: bool):
+        """Returns (name, children, length, offset); length None only at root."""
+        offset = self.pos
+        if self.peek() == "(":
+            self.take("(")
+            children = [self.node(False)]
+            while self.peek() == ",":
+                self.take(",")
+                children.append(self.node(False))
+            self.take(")")
+            name = None
+            if self.peek() not in _NAME_STOP:
+                self.name()  # internal node label (e.g. support value), ignored
+        else:
+            name = self.name()
+            children = []
+        length = None
+        if self.peek() == ":":
+            length = self.length()
+        if length is None and not is_root:
+            self.error("missing branch length")
+        return name, children, length, offset
+
+
+def reference_parse_newick(
+    text: str,
+    *,
+    taxa: TaxonTable | None = None,
+    outgroup: str | None = None,
+) -> Tree:
+    """Parse one rooted Newick string into a Tree, character by character.
+
+    Every edge must carry a branch length (a length on the root vertex is
+    ignored).  The outgroup taxon becomes leaf 0; by default it is the
+    first-listed taxon, unless an existing taxon table fixes the order.
+    """
+    parser = _ReferenceParser(text)
+    try:
+        root = parser.node(True)
+    except RecursionError:
+        # walking the parsed nodes below recurses no deeper than this
+        raise NewickError("nested too deeply") from None
+    if parser.peek() != ";":
+        parser.error("expected ';'")
+    parser.pos += 1
+
+    names: list[str] = []
+
+    def collect(node):
+        name, children, _, offset = node
+        if not children:
+            if name in names:
+                raise NewickError(f"duplicate taxon {name!r}", offset)
+            names.append(name)
+        for child in children:
+            collect(child)
+
+    collect(root)
+    if len(names) < 4:
+        raise NewickError(f"fewer than 4 leaves ({len(names)})")
+
+    if taxa is not None:
+        if set(names) != set(taxa.names):
+            raise NewickError("taxon set does not match the given taxon table")
+        if outgroup is not None and outgroup != taxa.names[0]:
+            raise NewickError(f"outgroup {outgroup!r} is not leaf 0 of the taxon table")
+    else:
+        # canonical table: outgroup (or the first-listed taxon) first, the
+        # rest sorted, so that serializations re-parse to the same table
+        if outgroup is None:
+            outgroup = names[0]
+        elif outgroup not in names:
+            raise NewickError(f"outgroup {outgroup!r} not among the taxa")
+        taxa = TaxonTable((outgroup, *sorted(n for n in names if n != outgroup)))
+
+    n_leaves = taxa.size
+    full = (1 << n_leaves) - 1
+    leaf_lengths = [0.0] * n_leaves
+    inner: dict[Split, float] = {}
+
+    def walk(node, is_root: bool = False) -> int:
+        name, children, length, offset = node
+        if children:
+            below = 0
+            for child in children:
+                below |= walk(child)
+        else:
+            below = 1 << taxa.index(name)
+        if length is not None and not is_root:
+            if not length > 0.0:
+                raise NewickError(f"zero/negative branch length {length!r}", offset)
+            side = below if not below & 1 else full ^ below
+            count = side.bit_count()
+            if count == 1:
+                leaf_lengths[_min_leaf(side)] += length
+            elif count == n_leaves - 1:
+                leaf_lengths[0] += length
+            else:
+                split = Split(side, n_leaves)
+                inner[split] = inner.get(split, 0.0) + length
+        return below
+
+    walk(root, is_root=True)
+    tree = Tree(taxa, tuple(leaf_lengths), inner)
+    # one parenthesization gives every leaf one length and laminar splits,
+    # so only a length can break `validate`: one part, or a sum of parts,
+    # that overflowed
+    problems = _length_problems(tree)
+    if problems:
+        raise InvalidTreeError(problems)
+    return tree
 
 
 # ---------------------------------------------------------------------------

@@ -241,6 +241,29 @@ class TestSample:
         )
         assert rc == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ("--alpha", "pseudocounts must be finite"),
+            ("--shape", "shape and scale must be finite"),
+            ("--scale", "shape and scale must be finite"),
+            ("--sigma", "sigma must be finite"),
+            ("--tau", "tau must lie strictly between 0 and 1"),
+        ],
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_options_are_input_errors(
+        self, option, message, value, tmp_path, demo_fasta, capsys
+    ):
+        out = tmp_path / "x"
+        rc = main(
+            ["sample", str(demo_fasta), "--out", str(out), "--seed", "1",
+             "--iters", "5", "--burnin", "1", option, value]
+        )
+        assert rc == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.samples").exists()
+
 
 class TestEstimators:
     def test_mean_of_constant_samples(self, tmp_path, capsys):
@@ -315,6 +338,20 @@ class TestEstimators:
         regular.write_text("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);\n")
         assert main(["mean", str(regular / "x")]) == EXIT_INPUT
         assert "error:" in capsys.readouterr().err
+
+    def test_two_trees_on_one_line_are_input_errors(self, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text(DEMO_TREE + "\n" + DEMO_TREE + DEMO_TREE + "\n")
+        assert main(["mean", str(path), "--seed", "1"]) == EXIT_INPUT
+        assert "line 2: unexpected text after ';'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mean", "median"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_input_error(self, command, value, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text((DEMO_TREE + "\n") * 3)
+        assert main([command, str(path), "--tolerance", value]) == EXIT_INPUT
+        assert "tolerance must be finite" in capsys.readouterr().err
 
 
 class TestSummaryCommands:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,11 @@ class TestConfig:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ValueError):
             EstimatorConfig(iterations=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_tolerance(self, value):
+        with pytest.raises(ValueError, match="tolerance must be finite"):
+            EstimatorConfig(tolerance=value)
 
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):

@@ -289,9 +289,10 @@ class TestMatchesReference:
         for s, t in pairs:
             assert_same_path(geodesic(s, t), reference_geodesic(s, t))
 
-    def test_identical_paths_on_estimator_iterates(self, rng, monkeypatch):
-        # the pairs a proximal walk meets: iterates on orthant faces and
-        # with shrunken splits, against posterior-like inputs
+    @staticmethod
+    def estimator_pairs(trees, monkeypatch):
+        """The pairs a proximal walk meets: iterates on orthant faces and
+        with shrunken splits, against the input trees."""
         seen = []
         real = frechet.geodesic
 
@@ -300,11 +301,20 @@ class TestMatchesReference:
             return real(s, t)
 
         monkeypatch.setattr(frechet, "geodesic", recording)
-        trees = posterior_like_set(make_taxa(16), rng)
         frechet.mean(trees, EstimatorConfig(iterations=40, seed=3))
         frechet.median(trees, EstimatorConfig(iterations=40, seed=4))
         assert len(seen) == 80
-        for s, t in seen:
+        return seen
+
+    def test_identical_paths_on_estimator_iterates(self, rng, monkeypatch):
+        trees = posterior_like_set(make_taxa(16), rng)
+        for s, t in self.estimator_pairs(trees, monkeypatch):
+            assert_same_path(geodesic(s, t), reference_geodesic(s, t))
+
+    def test_identical_paths_on_estimator_iterates_at_32_taxa(self, rng, monkeypatch):
+        # the scale of the summary benchmark: 30 posterior-like trees
+        trees = posterior_like_set(make_taxa(32), rng, trees=30)
+        for s, t in self.estimator_pairs(trees, monkeypatch):
             assert_same_path(geodesic(s, t), reference_geodesic(s, t))
 
 

@@ -50,6 +50,18 @@ def test_rejects_edges_out_of_range():
         FlowNetwork((0.1,), (0.5,), ((0, 1),))
 
 
+def test_other_sequences_are_copied_into_tuples():
+    want = FlowNetwork((0.09, 0.16), (0.25,), ((0, 0), (1, 0)))
+    built = [
+        FlowNetwork([0.09, 0.16], iter([0.25]), ((i, 0) for i in range(2))),
+        FlowNetwork((0.09, 0.16), (0.25,), [[0, 0], [1, 0]]),
+        FlowNetwork((0.09, 0.16), (0.25,), ([0, 0], (1, 0))),
+    ]
+    for net in built:
+        assert net == want and hash(net) == hash(want)
+        assert max_flow(net) == max_flow(want)
+
+
 def random_networks(rng, trials=450):
     """Small networks with uniform, equal-per-side and normalized weights."""
 

@@ -77,6 +77,19 @@ class TestConfigs:
         with pytest.raises(ValueError):
             ProposalConfig(sigma=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_settings_rejected(self, value):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ProposalConfig(sigma=value)
+        with pytest.raises(ValueError):
+            ProposalConfig(tau=value)
+        with pytest.raises(ValueError, match="pseudocounts must be finite"):
+            DirichletPrior((0.2, 0.2, value, 0.2, 0.2))
+        with pytest.raises(ValueError, match="shape and scale must be finite"):
+            GammaPrior(shape=value)
+        with pytest.raises(ValueError, match="shape and scale must be finite"):
+            GammaPrior(scale=value)
+
     def test_burn_in_bounds(self):
         with pytest.raises(ValueError):
             RunConfig(iterations=100, burn_in=100)

@@ -1,5 +1,7 @@
 import itertools
 import math
+import pickle
+import re
 import sys
 
 import numpy as np
@@ -22,7 +24,11 @@ from bhvphylo.treespace import (
 )
 
 from conftest import make_taxa, random_tree, split_of, trees_close
-from oracles import enumerate_binary_topologies, reference_random_binary_splits
+from oracles import (
+    enumerate_binary_topologies,
+    reference_parse_newick,
+    reference_random_binary_splits,
+)
 
 # a 7-leaf example tree grouping {1,2,3}, {4,5,6} and {5,6}; it is
 # non-binary (a 7-leaf binary tree would have four inner edges)
@@ -83,6 +89,51 @@ class TestSplit:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             split_of({1, 7}, 5)
+
+
+class TestSplitTuple:
+    """A split is the tuple (bits, n_leaves): hash, order and equality are
+    the tuple's, with the values the dataclass it replaced had."""
+
+    SPLITS = [(0b110, 5), (0b11110, 7), (0b1100, 6), (0b0110, 6), (1 << 40 | 1 << 3, 64)]
+
+    def test_hash_is_the_hash_of_the_field_tuple(self):
+        for bits, n_leaves in self.SPLITS:
+            assert hash(Split(bits, n_leaves)) == hash((bits, n_leaves))
+
+    def test_sorts_by_mask_then_leaf_count(self):
+        splits = [Split(bits, n) for bits, n in self.SPLITS]
+        assert sorted(splits) == [Split(bits, n) for bits, n in sorted(self.SPLITS)]
+        assert Split(0b110, 5) < Split(0b110, 6) < Split(0b1010, 5)
+
+    def test_fields_and_derived_values(self):
+        split = Split(0b10110, 7)
+        assert (split.bits, split.n_leaves, split.size) == (0b10110, 7, 3)
+        assert split.indices() == (1, 2, 4)
+        assert 4 in split and 3 not in split
+        assert repr(split) == "Split({1,2,4}/7)"
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match=r"^split mask must not contain leaf 0$"):
+            Split(0b111, 5)
+        with pytest.raises(ValueError, match=r"^split mask outside leaf range$"):
+            Split(0b1100000, 5)
+        with pytest.raises(ValueError, match=r"^split side must have 2\.\.3 leaves, got 1$"):
+            Split(0b100, 5)
+        with pytest.raises(ValueError, match=r"^split side must have 2\.\.3 leaves, got 4$"):
+            Split(0b11110, 5)
+
+    def test_pickle_round_trip(self):
+        for bits, n_leaves in self.SPLITS:
+            split = Split(bits, n_leaves)
+            again = pickle.loads(pickle.dumps(split))
+            assert type(again) is Split
+            assert again == split and hash(again) == hash(split)
+
+    def test_immutable(self):
+        split = Split(0b110, 5)
+        with pytest.raises(AttributeError):
+            split.bits = 0b1010
 
 
 class TestCompatible:
@@ -281,6 +332,117 @@ class TestParseNewick:
     def test_internal_labels_ignored(self):
         tree = parse_newick("((A:0.1,B:0.2)97:0.05,C:0.3,O:0.1);", outgroup="O")
         assert tree.inner == {split_of({1, 2}, 4): 0.05}
+
+
+    def test_text_after_the_terminator_rejected(self):
+        tree = "((A:0.1,B:0.2):0.05,C:0.3,O:0.1);"
+        assert parse_newick(tree + " \t\n") == parse_newick(tree)
+        for tail in (tree, "x", ";", " (", "[comment]"):
+            with pytest.raises(NewickError, match="unexpected text after ';'"):
+                parse_newick(tree + tail)
+
+
+def newick_variant(rng, text: str, kind: int) -> str:
+    """One of six rewrites of well-formed Newick text, by kind: as is,
+    padded with whitespace, with internal labels, with exponent lengths,
+    truncated, or with a few characters inserted, deleted or replaced."""
+    if kind == 1:
+        pads = [" ", "  ", "\t", "\n", " \n "]
+        return re.sub(
+            r"[(),:;]",
+            lambda m: pads[int(rng.integers(5))] + m.group() + pads[int(rng.integers(5))],
+            text,
+        )
+    if kind == 2:
+        labels = ["97", "0.5", "node 3", "[&x=1]", "e5"]
+        return re.sub(r"\)", lambda m: ")" + labels[int(rng.integers(5))], text)
+    if kind == 3:
+        forms = [".3e", ".17E", ".0e"]
+        return re.sub(
+            r":([0-9.]+)",
+            lambda m: ":" + format(float(m.group(1)) * 10.0 ** int(rng.integers(-3, 4)),
+                                    forms[int(rng.integers(3))]),
+            text,
+        )
+    if kind == 4:
+        return text[: int(rng.integers(0, len(text)))]
+    if kind == 5:
+        chars = list(text)
+        alphabet = "(),:;. \t\n0123456789eE+-tAx[]"
+        for _ in range(int(rng.integers(1, 4))):
+            at = int(rng.integers(0, len(chars)))
+            char = alphabet[int(rng.integers(len(alphabet)))]
+            action = int(rng.integers(3))
+            if action == 0:
+                chars.insert(at, char)
+            elif action == 1:
+                del chars[at]
+            else:
+                chars[at] = char
+        return "".join(chars)
+    return text
+
+
+def read_outcome(parse, text, **kwargs):
+    """The parsed tree, or the class of the exception the reader raised."""
+    try:
+        return parse(text, **kwargs)
+    except (NewickError, InvalidTreeError) as exc:
+        return type(exc)
+
+
+class TestAgainstReferenceReader:
+    def test_random_variants_give_the_same_tree_or_error_class(self, rng):
+        taxa = None
+        for trial in range(900):
+            n_leaves = int(rng.integers(4, 40))
+            text = newick_variant(rng, random_newick(rng, n_leaves), trial % 6)
+            kwargs = {}
+            if trial % 4 == 1:
+                kwargs["outgroup"] = f"t{int(rng.integers(n_leaves)):02d}"
+            elif trial % 4 == 2 and taxa is not None:
+                kwargs["taxa"] = taxa
+            want = read_outcome(reference_parse_newick, text, **kwargs)
+            got = read_outcome(parse_newick, text, **kwargs)
+            if ";" in text and text[text.index(";") + 1 :].strip():
+                # the one deliberate difference: text after the terminator
+                assert got is NewickError, text
+                continue
+            if isinstance(want, Tree):
+                assert isinstance(got, Tree), (text, got)
+                assert got == want
+                assert list(got.inner) == list(want.inner)
+                assert [x.hex() for x in got.leaf_lengths] == [
+                    x.hex() for x in want.leaf_lengths
+                ]
+                taxa = got.taxa
+            else:
+                assert got is want, (text, got, want)
+
+    def test_error_messages_and_offsets_agree(self):
+        for text in (
+            "",
+            "  ",
+            "((A:0.1,B:0.2):0.05,C:0.3,O:0.1)",
+            "((A:0.1,B:0.2):0.05,C:0.3,O:0.1) x",
+            "((A:0.1,B:0.2):0.05,C:0.3,O:",
+            "((A:0.1,B:0.2):0.05,C:0.3,O: ",
+            "((A:0.1,B:0.2):0.05,C:x,O:0.1);",
+            "((A:0.1,B:0.2):0.05,C:1e,O:0.1);",
+            "((A:0.1,:0.2):0.05,C:0.3,O:0.1);",
+            "((A:0.1,B:0.2) :0.05,C:0.3 ,O);",
+            "((A:0.1,B:0.2):0.05 C:0.3,O:0.1);",
+            "((A:0.1, A:0.2):0.05,C:0.3,O:0.1);",
+            "((A:0.1,B:0.2): -1,C:0.3,O:0.1);",
+            "(A:0.1,B:0.2,(C:0.3,O:0.1);",
+            "(A:0.1,B:0.2);",
+        ):
+            with pytest.raises(NewickError) as want:
+                reference_parse_newick(text)
+            with pytest.raises(NewickError) as got:
+                parse_newick(text)
+            assert str(got.value) == str(want.value), text
+            assert got.value.offset == want.value.offset, text
 
 
 class TestSerializeNewick:
