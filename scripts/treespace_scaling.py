@@ -1,4 +1,5 @@
-"""Per-call cost of Newick parsing, geodesics and max flow against taxon count.
+"""Per-call cost of Newick parsing, topologies, geodesics and max flow
+against taxon count.
 
     python3 scripts/treespace_scaling.py
 
@@ -11,12 +12,14 @@ commands meet them:
 
 - parse: `parse_newick` on each tree's serialization, against the taxon
   table of the first, as `load_samples` reads the lines after the first;
+- topology: `tree_topology` on each tree, as every serialized sample and
+  every likelihood plan miss builds it;
 - geodesic: `geodesic` on the pairs (iterate, input tree) that
   `frechet.mean` and `frechet.median` meet in STEPS steps each;
 - max flow: `max_flow` on every network those geodesics build.
 
 Each value is the median over REPEATS passes of the time per call.
-Prints one JSON object with, per taxon count, the three times and the
+Prints one JSON object with, per taxon count, the four times and the
 number of calls and of networks and vertices behind them.
 """
 
@@ -46,6 +49,7 @@ from bhvphylo.treespace import (  # noqa: E402
     parse_newick,
     random_binary_splits,
     serialize_newick,
+    tree_topology,
 )
 
 TAXA = (8, 16, 32, 64)
@@ -102,6 +106,7 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
     lines = [serialize_newick(tree) for tree in tree_set]
     taxa = parse_newick(lines[0]).taxa
     parse_s = per_call(lambda line: parse_newick(line, taxa=taxa), [(l,) for l in lines], repeats)
+    topology_s = per_call(tree_topology, [(tree,) for tree in tree_set], repeats)
 
     pairs = []
     real_geodesic = frechet.geodesic
@@ -136,6 +141,7 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
     return {
         "taxa": n_taxa,
         "parse_ms": round(1e3 * parse_s, 4),
+        "topology_ms": round(1e3 * topology_s, 4),
         "geodesic_ms": round(1e3 * geodesic_s, 4),
         "max_flow_us": round(1e6 * max_flow_s, 2),
         "lines": len(lines),

@@ -127,7 +127,7 @@ def _sha256(path) -> str:
 
 def cmd_sample(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+        warnings.simplefilter("default")  # each message once, not once per symbol
         alignment = alignment_from_fasta(args.fasta, args.outgroup)
     for item in caught:
         print(f"warning: {item.message}", file=sys.stderr)
@@ -240,8 +240,8 @@ def cmd_compare(args) -> int:
     trees = _load_trees(args.samples)
     mean_tree = mean(trees, EstimatorConfig(iterations=args.steps, seed=args.seed))
     consensus = consensus_majority(trees)
-    report = compare_mean_consensus(trees, mean_tree, consensus)
-    print(render_report(report, trees[0].taxa))
+    rows = compare_mean_consensus(trees, mean_tree, consensus)
+    print(render_report(rows, trees[0].taxa))
     return EXIT_OK
 
 
@@ -260,6 +260,8 @@ def cmd_interpolate(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.columns < 0:
+        raise InputError(f"--columns must be nonnegative, got {args.columns}")
     tree = _read_tree_arg(args.tree, outgroup=args.outgroup)
     rng = np.random.default_rng(args.seed)
     alpha = (args.alpha,) * N_SYMBOLS

@@ -110,29 +110,26 @@ def _conflict_rows(a_bits: list[int], b_bits: list[int]) -> list[int]:
     return rows
 
 
-def _refine(
-    a_items: list[tuple[Split, float]],
-    b_items: list[tuple[Split, float]],
-    out: list[SupportPair],
-) -> None:
-    """Split (A, B) on minimum covers until none weighs less than one."""
-    norm_a2 = sum(l * l for _, l in a_items)
-    norm_b2 = sum(l * l for _, l in b_items)
+def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) -> None:
+    """Split (A, B) on minimum covers until none weighs less than one.
+
+    Items are (split, length, conflict row) on side A and (split, length,
+    bit) on side B; the networks join each row to the bits it holds.
+    """
+    norm_a2 = sum(l * l for _, l, _ in a_items)
+    norm_b2 = sum(l * l for _, l, _ in b_items)
     # a cut must leave splits of both trees in both halves, so a side
     # holding one split ends the refinement without a max flow
     if len(a_items) > 1 and len(b_items) > 1:
-        b_bits = [b.bits for b, _ in b_items]
-        edges = []
-        for i, (a, _) in enumerate(a_items):
-            x = a.bits
-            for j, y in enumerate(b_bits):
-                meet = x & y
-                if meet and meet != x and meet != y:
-                    edges.append((i, j))
         net = FlowNetwork(
-            tuple(l * l / norm_a2 for _, l in a_items),
-            tuple(l * l / norm_b2 for _, l in b_items),
-            tuple(edges),
+            tuple(l * l / norm_a2 for _, l, _ in a_items),
+            tuple(l * l / norm_b2 for _, l, _ in b_items),
+            tuple(
+                (i, j)
+                for i, (_, _, row) in enumerate(a_items)
+                for j, (_, _, bit) in enumerate(b_items)
+                if row & bit
+            ),
         )
         _, (cover_a, cover_b) = max_flow(net)
         weight = sum(net.a_weights[i] for i in cover_a) + sum(
@@ -149,8 +146,8 @@ def _refine(
                 return
     out.append(
         SupportPair(
-            frozenset(s for s, _ in a_items),
-            frozenset(s for s, _ in b_items),
+            frozenset(s for s, _, _ in a_items),
+            frozenset(s for s, _, _ in b_items),
             math.sqrt(norm_a2),
             math.sqrt(norm_b2),
         )
@@ -198,10 +195,10 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     regions: dict[int, tuple[list, list]] = {}
     for a, row in zip(s_only, rows):
         if row:
-            regions.setdefault(region(a.bits), ([], []))[0].append((a, s.inner[a]))
+            regions.setdefault(region(a.bits), ([], []))[0].append((a, s.inner[a], row))
     for j, b in enumerate(t_only):
         if t_hit >> j & 1:
-            regions.setdefault(region(b.bits), ([], []))[1].append((b, t.inner[b]))
+            regions.setdefault(region(b.bits), ([], []))[1].append((b, t.inner[b], 1 << j))
 
     supports: list[SupportPair] = []
     for key in sorted(regions):

@@ -35,8 +35,8 @@ from dataclasses import dataclass
 class FlowNetwork:
     """Vertex weights for the two sides plus the incompatibility edges.
 
-    Sequences that are not already tuples (of pairs, for the edges) are
-    copied into tuples; the geodesic passes tuples and skips the copies.
+    Any sequences are accepted and copied into tuples (the edges into a
+    tuple of pairs), so a network is immutable and hashable.
     """
 
     a_weights: tuple[float, ...]
@@ -44,12 +44,9 @@ class FlowNetwork:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if type(self.a_weights) is not tuple:
-            object.__setattr__(self, "a_weights", tuple(self.a_weights))
-        if type(self.b_weights) is not tuple:
-            object.__setattr__(self, "b_weights", tuple(self.b_weights))
-        if type(self.edges) is not tuple or not all(type(e) is tuple for e in self.edges):
-            object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "a_weights", tuple(self.a_weights))
+        object.__setattr__(self, "b_weights", tuple(self.b_weights))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if any(w < 0 for w in self.a_weights) or any(w < 0 for w in self.b_weights):
             raise ValueError("vertex weights must be nonnegative")
         na, nb = len(self.a_weights), len(self.b_weights)

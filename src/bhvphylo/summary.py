@@ -34,13 +34,8 @@ def split_frequencies(samples, bins: int = DEFAULT_BINS) -> list[SplitStats]:
     common_taxa(samples)
     if bins < 1:
         raise ValueError("bins must be positive")
-    lengths: dict[Split, list[float]] = {}
-    for tree in samples:
-        for split, length in tree.inner.items():
-            lengths.setdefault(split, []).append(length)
     records = []
-    for split in sorted(lengths):
-        values = lengths[split]
+    for split, values in _split_lengths(samples).items():
         top = max(values)
         edges = [top * i / bins for i in range(bins + 1)]
         counts = [0] * bins
@@ -60,6 +55,15 @@ def split_frequencies(samples, bins: int = DEFAULT_BINS) -> list[SplitStats]:
     return records
 
 
+def _split_lengths(samples) -> dict[Split, list[float]]:
+    """The lengths each split has in the samples that contain it."""
+    lengths: dict[Split, list[float]] = {}
+    for tree in samples:
+        for split, length in tree.inner.items():
+            lengths.setdefault(split, []).append(length)
+    return lengths
+
+
 def consensus_majority(samples) -> Tree:
     """Majority-rule consensus: splits in strictly more than half the samples.
 
@@ -70,14 +74,10 @@ def consensus_majority(samples) -> Tree:
     """
     taxa = common_taxa(samples)
     count = len(samples)
-    lengths: dict[Split, list[float]] = {}
-    for tree in samples:
-        for split, length in tree.inner.items():
-            lengths.setdefault(split, []).append(length)
     # fsum keeps the averages exactly permutation invariant
     inner = {
         split: math.fsum(values) / len(values)
-        for split, values in lengths.items()
+        for split, values in _split_lengths(samples).items()
         if len(values) * 2 > count
     }
     leaf_lengths = tuple(
@@ -87,56 +87,22 @@ def consensus_majority(samples) -> Tree:
     return check(Tree(taxa, leaf_lengths, inner))
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    split: Split
-    consensus_length: float | None
-    mean_length: float | None
-
-    @property
-    def difference(self) -> float | None:
-        if self.consensus_length is None or self.mean_length is None:
-            return None
-        return self.consensus_length - self.mean_length
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    shared: tuple[ComparisonRow, ...]
-    consensus_only: tuple[ComparisonRow, ...]
-    mean_only: tuple[ComparisonRow, ...]
-
-    def rows(self) -> list[ComparisonRow]:
-        return list(self.shared) + list(self.consensus_only) + list(self.mean_only)
-
-
 def compare_mean_consensus(
     samples, mean_tree: Tree, consensus_tree: Tree
-) -> ComparisonReport:
-    """Length comparison between consensus and mean, split by split."""
+) -> list[tuple[Split, float | None, float | None]]:
+    """Rows (split, consensus length, mean length), None where a tree lacks
+    the split: shared splits, then consensus-only, then mean-only, by mask."""
     common_taxa([*samples, mean_tree, consensus_tree])
-    shared = []
-    consensus_only = []
-    mean_only = []
-    for split in sorted(set(consensus_tree.inner) | set(mean_tree.inner)):
-        in_consensus = split in consensus_tree.inner
-        in_mean = split in mean_tree.inner
-        row = ComparisonRow(
-            split=split,
-            consensus_length=consensus_tree.inner.get(split),
-            mean_length=mean_tree.inner.get(split),
-        )
-        if in_consensus and in_mean:
-            shared.append(row)
-        elif in_consensus:
-            consensus_only.append(row)
-        else:
-            mean_only.append(row)
-    return ComparisonReport(tuple(shared), tuple(consensus_only), tuple(mean_only))
+    rows = [
+        (split, consensus_tree.inner.get(split), mean_tree.inner.get(split))
+        for split in set(consensus_tree.inner) | set(mean_tree.inner)
+    ]
+    rows.sort(key=lambda row: (row[1] is None, row[2] is None, row[0]))
+    return rows
 
 
-def render_report(report: ComparisonReport, taxa) -> str:
-    """Plain text table of the comparison."""
+def render_report(rows, taxa) -> str:
+    """Plain text table of the comparison rows."""
 
     def name(split: Split) -> str:
         return "|".join(taxa.names[i] for i in split.indices())
@@ -145,11 +111,13 @@ def render_report(report: ComparisonReport, taxa) -> str:
         return f"{value:.6g}" if value is not None else "-"
 
     lines = [f"{'split':<40} {'consensus':>12} {'mean':>12} {'diff':>12}"]
-    for row in report.rows():
-        diff = row.difference
+    for split, consensus_length, mean_length in rows:
+        diff = None
+        if consensus_length is not None and mean_length is not None:
+            diff = consensus_length - mean_length
         lines.append(
-            f"{name(row.split):<40} {fmt(row.consensus_length):>12} "
-            f"{fmt(row.mean_length):>12} {fmt(diff):>12}"
+            f"{name(split):<40} {fmt(consensus_length):>12} "
+            f"{fmt(mean_length):>12} {fmt(diff):>12}"
         )
     return "\n".join(lines)
 

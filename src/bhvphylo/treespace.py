@@ -10,8 +10,9 @@ compare in C.  Inner edges of length zero are represented by absence
 from the map; trees with fewer than n-2 inner edges are valid non-binary
 trees.
 
-All types are immutable after construction and safe to share across
-threads.
+All types but `Node` are immutable after construction and safe to share
+across threads; a `Node` is the vertex of the explicit topology that
+`tree_topology` builds by mutation, and each call builds new ones.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ class TaxonTable:
     def size(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown taxon {name!r}") from None
-
 
 class _SplitFields(NamedTuple):
     bits: int
@@ -100,15 +95,8 @@ class Split(_SplitFields):
             )
         return tuple.__new__(cls, (bits, n_leaves))
 
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
     def indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n_leaves) if self.bits >> i & 1)
-
-    def __contains__(self, leaf: int) -> bool:
-        return bool(self.bits >> leaf & 1)
 
     def __repr__(self):
         return f"Split({{{','.join(map(str, self.indices()))}}}/{self.n_leaves})"
@@ -252,43 +240,27 @@ def _min_leaf(mask: int) -> int:
 def tree_topology(tree: Tree) -> Node:
     """Build the explicit vertex structure, rooted at leaf 0's neighbor.
 
-    Children are ordered by smallest contained leaf, with leaf 0 last,
+    Children are ordered by smallest contained leaf, with leaf 0 first,
     so the layout is deterministic for a given tree.
     """
-    n_leaves = tree.taxa.size
-    full = (1 << n_leaves) - 1
-    root = Node(None, full, None)
-    nodes = [Node(None, s.bits, length) for s, length in sorted(tree.inner.items())]
-    # parent of a split node: the smallest strict superset among the others
-    by_size = sorted(nodes, key=lambda v: v.mask.bit_count())
-    for i, node in enumerate(by_size):
-        parent = root
-        for other in by_size[i + 1 :]:
-            if node.mask & other.mask == node.mask and other.mask != node.mask:
-                parent = other
+    root = Node(None, (1 << tree.taxa.size) - 1, None)
+    nodes = [Node(leaf, 1 << leaf, length) for leaf, length in enumerate(tree.leaf_lengths)]
+    nodes += [Node(None, split.bits, length) for split, length in tree.inner.items()]
+    nodes.sort(key=lambda v: v.mask.bit_count())
+    nodes.append(root)
+    # the parent is the smallest clade strictly containing the vertex: the
+    # first later one containing it, as clades of equal size are disjoint
+    for i, node in enumerate(nodes):
+        mask = node.mask
+        for other in nodes[i + 1 :]:
+            if other.mask & mask == mask:
+                other.children.append(node)
                 break
-        parent.children.append(node)
-    for leaf in range(n_leaves):
-        leaf_node = Node(leaf, 1 << leaf, tree.leaf_lengths[leaf])
-        parent = root
-        best = None
-        for node in nodes:
-            if node.mask >> leaf & 1:
-                if best is None or node.mask.bit_count() < best.mask.bit_count():
-                    best = node
-        if best is not None:
-            parent = best
-        parent.children.append(leaf_node)
-    _sort_children(root)
-    return root
-
-
-def _sort_children(node: Node) -> None:
     # leaf 0 first, so that the first-listed taxon of the serialization is
     # the outgroup and a default re-parse rebuilds the same taxon table
-    node.children.sort(key=lambda c: (c.mask != 1, _min_leaf(c.mask)))
-    for child in node.children:
-        _sort_children(child)
+    for node in nodes:
+        node.children.sort(key=lambda c: (c.mask != 1, _min_leaf(c.mask)))
+    return root
 
 
 # ---------------------------------------------------------------------------

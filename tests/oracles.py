@@ -17,6 +17,8 @@ shares `mutation_prob` with the program); the plans must match it to
 recursive descent the program used before it tokenized each line, kept
 verbatim; the tokenizing reader must return the same tree or raise the
 same class of exception, except that it rejects text after the `;`.
+The reference topology is the earlier two-search `tree_topology`, kept
+verbatim; the one-pass version must build the same vertex structure.
 `median_objective` is the exception: it sums the
 program's own distances, for tests that compare an estimate's objective
 with an oracle's.  This module imports the package and nothing from the tests,
@@ -38,6 +40,7 @@ from bhvphylo.treespace import (
     _NAME_STOP,
     InvalidTreeError,
     NewickError,
+    Node,
     Split,
     TaxonTable,
     Tree,
@@ -804,7 +807,7 @@ def reference_parse_newick(
             for child in children:
                 below |= walk(child)
         else:
-            below = 1 << taxa.index(name)
+            below = 1 << taxa.names.index(name)
         if length is not None and not is_root:
             if not length > 0.0:
                 raise NewickError(f"zero/negative branch length {length!r}", offset)
@@ -828,6 +831,49 @@ def reference_parse_newick(
     if problems:
         raise InvalidTreeError(problems)
     return tree
+
+
+# ---------------------------------------------------------------------------
+# Explicit topology with one parent search for splits and one for leaves
+
+def reference_tree_topology(tree: Tree) -> Node:
+    """The earlier `tree_topology`, kept verbatim: split vertices find
+    their parents among the splits sorted by size, each leaf searches all
+    splits for its smallest container, and a recursion sorts children."""
+    n_leaves = tree.taxa.size
+    full = (1 << n_leaves) - 1
+    root = Node(None, full, None)
+    nodes = [Node(None, s.bits, length) for s, length in sorted(tree.inner.items())]
+    # parent of a split node: the smallest strict superset among the others
+    by_size = sorted(nodes, key=lambda v: v.mask.bit_count())
+    for i, node in enumerate(by_size):
+        parent = root
+        for other in by_size[i + 1 :]:
+            if node.mask & other.mask == node.mask and other.mask != node.mask:
+                parent = other
+                break
+        parent.children.append(node)
+    for leaf in range(n_leaves):
+        leaf_node = Node(leaf, 1 << leaf, tree.leaf_lengths[leaf])
+        parent = root
+        best = None
+        for node in nodes:
+            if node.mask >> leaf & 1:
+                if best is None or node.mask.bit_count() < best.mask.bit_count():
+                    best = node
+        if best is not None:
+            parent = best
+        parent.children.append(leaf_node)
+    _sort_children(root)
+    return root
+
+
+def _sort_children(node: Node) -> None:
+    # leaf 0 first, so that the first-listed taxon of the serialization is
+    # the outgroup and a default re-parse rebuilds the same taxon table
+    node.children.sort(key=lambda c: (c.mask != 1, _min_leaf(c.mask)))
+    for child in node.children:
+        _sort_children(child)
 
 
 # ---------------------------------------------------------------------------

@@ -110,6 +110,13 @@ class TestSimulate:
             assert rc == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    def test_negative_columns_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "neg.fasta"
+        rc = main(["simulate", DEMO_TREE, "--columns", "-3", "--seed", "7", "--out", str(path)])
+        assert rc == EXIT_INPUT
+        assert "--columns" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_alphabet_and_shape(self, demo_fasta):
         records = cli.read_fasta(demo_fasta)
         assert len(records) == 5
@@ -196,6 +203,21 @@ class TestSample:
         )
         assert rc == EXIT_OK
         assert "mapped to gap" in capsys.readouterr().err
+
+    def test_each_unknown_symbol_warns_once(self, tmp_path, capsys):
+        fasta = tmp_path / "n.fasta"
+        write_fasta(
+            fasta,
+            [("a", "ANNRCTNN"), ("b", "NCCTRRNA"), ("c", "ACGTNNRG"), ("d", "RCGTACNN")],
+        )
+        options = ["--out", str(tmp_path / "x"), "--seed", "1", "--iters", "20", "--burnin", "4"]
+        assert main(["sample", str(fasta), *options]) == EXIT_OK
+        err = capsys.readouterr().err.splitlines()
+        warned = [line for line in err if line.startswith("warning:")]
+        assert warned == [
+            "warning: symbol 'N' mapped to gap",
+            "warning: symbol 'R' mapped to gap",
+        ]
 
     def test_numerical_failures_exit_three(self, tmp_path, demo_fasta, monkeypatch):
         def explode(*args, **kwargs):

@@ -9,7 +9,7 @@ import bhvphylo
 from bhvphylo import frechet
 from bhvphylo import geodesic as geodesic_module
 from bhvphylo.frechet import EstimatorConfig
-from bhvphylo.geodesic import _refine, distance, geodesic, interpolate
+from bhvphylo.geodesic import _conflict_rows, _refine, distance, geodesic, interpolate
 from bhvphylo.mcmc import nni_neighbors
 from bhvphylo.treespace import Tree, validate
 
@@ -352,12 +352,15 @@ class TestOneSplitSide:
         for trial in range(40):
             splits = sorted(random_tree(taxa, rng).inner)
             k = int(rng.integers(1, 6))
-            items = [(sp, float(rng.uniform(0.05, 1.0))) for sp in splits[: k + 1]]
-            one, many = items[:1], items[1:]
-            a_items, b_items = (one, many) if trial % 2 else (many, one)
+            pairs = [(sp, float(rng.uniform(0.05, 1.0))) for sp in splits[: k + 1]]
+            one, many = pairs[:1], pairs[1:]
+            a_pairs, b_pairs = (one, many) if trial % 2 else (many, one)
+            rows = _conflict_rows([a.bits for a, _ in a_pairs], [b.bits for b, _ in b_pairs])
+            a_items = [(a, l, row) for (a, l), row in zip(a_pairs, rows)]
+            b_items = [(b, l, 1 << j) for j, (b, l) in enumerate(b_pairs)]
             got, want = [], []
             _refine(a_items, b_items, got)
-            reference_refine(a_items, b_items, want)
+            reference_refine(a_pairs, b_pairs, want)
             assert got == want
             assert len(got) == 1
 

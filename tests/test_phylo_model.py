@@ -319,14 +319,14 @@ class TestLogLikelihood:
 
         reordered = ("y",) + tuple(n for n in names if n != "y")
         taxa_b = TaxonTable(reordered)
-        remap = {taxa_b.index(n): taxa_a.index(n) for n in names}
+        remap = {taxa_b.names.index(n): taxa_a.names.index(n) for n in names}
         leaf_lengths = tuple(
             tree_a.leaf_lengths[remap[i]] for i in range(len(names))
         )
         inner = {}
         for split, length in tree_a.inner.items():
             names_in_side = {names[i] for i in split.indices()}
-            side = {taxa_b.index(n) for n in names_in_side}
+            side = {taxa_b.names.index(n) for n in names_in_side}
             inner[split_of(side, len(names))] = length
         tree_b = Tree(taxa_b, leaf_lengths, inner)
 

@@ -151,9 +151,9 @@ class TestConsensus:
 class TestCompareMeanConsensus:
     def test_constant_samples_no_differences(self, rng):
         tree = random_tree(make_taxa(5), rng)
-        report = compare_mean_consensus([tree] * 4, tree, tree)
-        assert report.consensus_only == () and report.mean_only == ()
-        assert all(row.difference == 0.0 for row in report.shared)
+        rows = compare_mean_consensus([tree] * 4, tree, tree)
+        assert [split for split, _, _ in rows] == sorted(tree.inner)
+        assert all(None not in (c, m) and c - m == 0.0 for _, c, m in rows)
 
     def test_sixty_forty_shortens_the_mean_edge(self):
         samples = spider_samples({(1, 2): 60, (1, 3): 40}, length=0.5)
@@ -163,23 +163,23 @@ class TestCompareMeanConsensus:
         assert consensus.inner[split] == pytest.approx(0.5, abs=1e-12)
         # minimizer of 0.6 (x - 0.5)^2 + 0.4 (x + 0.5)^2 on the spider
         assert frechet.inner[split] == pytest.approx(0.1, abs=2e-2)
-        report = compare_mean_consensus(samples, frechet, consensus)
-        row = next(r for r in report.shared if r.split == split)
-        assert row.mean_length < row.consensus_length
+        rows = compare_mean_consensus(samples, frechet, consensus)
+        _, consensus_length, mean_length = next(r for r in rows if r[0] == split)
+        assert mean_length < consensus_length
 
     def test_polytomy_splits_show_up_as_mean_only(self):
         samples = spider_samples({(1, 2): 40, (1, 3): 35, (2, 3): 25}, length=0.5)
         consensus = consensus_majority(samples)
         frechet = mean(samples, EstimatorConfig(seed=4, iterations=10_000))
-        report = compare_mean_consensus(samples, frechet, consensus)
+        rows = compare_mean_consensus(samples, frechet, consensus)
         assert consensus.inner == {}
         if frechet.inner:
-            assert {r.split for r in report.mean_only} == set(frechet.inner)
+            assert {split for split, c, m in rows if c is None} == set(frechet.inner)
 
     def test_render_report(self, rng):
         tree = random_tree(make_taxa(5), rng)
-        report = compare_mean_consensus([tree] * 3, tree, tree)
-        text = render_report(report, tree.taxa)
+        rows = compare_mean_consensus([tree] * 3, tree, tree)
+        text = render_report(rows, tree.taxa)
         assert "consensus" in text.splitlines()[0]
         assert len(text.splitlines()) == 1 + len(tree.inner)
 
