@@ -1,5 +1,5 @@
-"""Per-call cost of Newick parsing, topologies, geodesics and max flow
-against taxon count.
+"""Per-call cost of Newick parsing, topologies, geodesics, max flow and
+minimum covers against taxon count.
 
     python3 scripts/treespace_scaling.py
 
@@ -16,11 +16,18 @@ commands meet them:
   every likelihood plan miss builds it;
 - geodesic: `geodesic` on the pairs (iterate, input tree) that
   `frechet.mean` and `frechet.median` meet in STEPS steps each;
-- max flow: `max_flow` on every network those geodesics build.
+- max flow: `max_flow` on every network that reaches it (counted in
+  `networks_per_geodesic`);
+- covers: `_min_cover` on every network those geodesics build, grouped
+  by the size of the network's smaller side, once by enumeration and
+  once through max flow (with `_ENUM_MAX` set to ENUM_TIMED and to 0),
+  for sides of up to ENUM_TIMED splits.  Where enumeration is cheaper
+  is where `geodesic._ENUM_MAX` belongs.
 
 Each value is the median over REPEATS passes of the time per call.
-Prints one JSON object with, per taxon count, the four times and the
-number of calls and of networks and vertices behind them.
+Prints one JSON object with, per taxon count, the times, the number of
+calls and of networks and vertices behind them, and the per-size cover
+costs.
 """
 
 from __future__ import annotations
@@ -61,6 +68,7 @@ DOMINANTS = 6
 MODE_MOVES = 20
 TAIL_MOVES = 3
 JITTER = 0.25
+ENUM_TIMED = 10
 
 
 def nni_walk(tree: Tree, moves: int, rng) -> Tree:
@@ -125,19 +133,44 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
     geodesic_s = per_call(geodesic, pairs, repeats)
 
     networks = []
+    covers = []
+    real_cover = geodesic_module._min_cover
 
     def keeping(net):
         networks.append(net)
         return max_flow(net)
 
+    def keeping_cover(*network):
+        covers.append(network)
+        return real_cover(*network)
+
     geodesic_module.max_flow = keeping
+    geodesic_module._min_cover = keeping_cover
     try:
         for s, t in pairs:
             geodesic(s, t)
     finally:
         geodesic_module.max_flow = max_flow
+        geodesic_module._min_cover = real_cover
     max_flow_s = per_call(max_flow, [(net,) for net in networks], repeats) if networks else 0.0
     vertices = sum(len(net.a_weights) + len(net.b_weights) for net in networks)
+
+    by_side: dict[int, list] = {}
+    for network in covers:
+        by_side.setdefault(min(len(network[0]), len(network[1])), []).append(network)
+    cover_costs = {}
+    enum_max = geodesic_module._ENUM_MAX
+    try:
+        for side, group in sorted(by_side.items()):
+            row = {"networks": len(group)}
+            if side <= ENUM_TIMED:
+                geodesic_module._ENUM_MAX = ENUM_TIMED
+                row["enumerate_us"] = round(1e6 * per_call(real_cover, group, repeats), 2)
+                geodesic_module._ENUM_MAX = 0
+                row["max_flow_us"] = round(1e6 * per_call(real_cover, group, repeats), 2)
+            cover_costs[side] = row
+    finally:
+        geodesic_module._ENUM_MAX = enum_max
     return {
         "taxa": n_taxa,
         "parse_ms": round(1e3 * parse_s, 4),
@@ -148,6 +181,8 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
         "geodesics": len(pairs),
         "networks_per_geodesic": round(len(networks) / len(pairs), 3),
         "vertices_per_network": round(vertices / len(networks), 3) if networks else 0.0,
+        "covers_per_geodesic": round(len(covers) / len(pairs), 3),
+        "covers_by_smaller_side": cover_costs,
     }
 
 

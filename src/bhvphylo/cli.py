@@ -231,8 +231,7 @@ def cmd_consensus(args) -> int:
 
 def cmd_splits(args) -> int:
     trees = _load_trees(args.samples)
-    for line in stats_csv_lines(split_frequencies(trees, bins=args.bins)):
-        print(line)
+    print("\n".join(stats_csv_lines(split_frequencies(trees, bins=args.bins))))
     return EXIT_OK
 
 

@@ -14,7 +14,14 @@ per side.  A pair is split whenever a cover of weight strictly below
 one exists; at termination the ratio sequence is nondecreasing and the
 path is the geodesic.  A pair with one split on either side is final
 without a cut, because each half of a split pair needs at least one
-split of each tree; no max flow is run for it.
+split of each tree; no cover is sought for it.  When the smaller side
+holds at most _ENUM_MAX splits, the cover is found by enumerating the
+subsets of that side; max flow runs only on larger networks.  The two
+pick the same cover where covers tie exactly or their sums are
+float-exact; a tie decided by float rounding may go either way.  A
+cover's weight adds each side's weights in ascending index order, not
+in the order of max flow's cover sets, which differs from it once a
+side holds 9 or more splits.
 
 Both trees are over one taxon table, so conflicts are tested on the
 split masks directly: two masks normalized away from leaf 0 conflict
@@ -31,6 +38,9 @@ from .maxflow import FlowNetwork, max_flow
 from .treespace import Split, Tree
 
 _REFINE_TOL = 1e-12
+# networks whose smaller side holds at most this many splits are solved by
+# enumeration; max flow runs only on larger ones
+_ENUM_MAX = 7
 
 
 @dataclass(frozen=True)
@@ -110,36 +120,95 @@ def _conflict_rows(a_bits: list[int], b_bits: list[int]) -> list[int]:
     return rows
 
 
+def _subset_sums(weights) -> list[float]:
+    """The sum of weights over each index mask, added in ascending index order."""
+    sums = [0.0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
+def _mask_sum(weights, mask: int) -> float:
+    total = 0.0
+    for j, w in enumerate(weights):
+        if mask >> j & 1:
+            total += w
+    return total
+
+
+def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
+    """(weight, A mask, B mask) of a minimum-weight vertex cover, where
+    rows[i] masks the B vertices conflicting with A vertex i.
+
+    When the smaller side holds at most _ENUM_MAX vertices, each set U of
+    them left uncovered is tried, with the union N(U) of their conflicts
+    covered on the other side; larger networks go to max_flow.  Either
+    way, each side's weights are added in ascending index order.  Exact
+    ties go as max_flow breaks them, to the cover with the fewest A
+    vertices: the largest U on A, the smallest U on B, and every
+    zero-weight B vertex covered.  A tie that float rounding decides may
+    go either way.
+    """
+    na, nb = len(a_weights), len(b_weights)
+    if min(na, nb) > _ENUM_MAX:
+        edges = tuple((i, j) for i, row in enumerate(rows) for j in range(nb) if row >> j & 1)
+        _, (cover_a, cover_b) = max_flow(FlowNetwork(a_weights, b_weights, edges))
+        mask_a = sum(1 << i for i in cover_a)
+        mask_b = sum(1 << j for j in cover_b)
+        return _mask_sum(a_weights, mask_a) + _mask_sum(b_weights, mask_b), mask_a, mask_b
+    small_is_a = na <= nb
+    if small_is_a:
+        small, large, conflicts = a_weights, b_weights, rows
+        # zero-weight B vertices are covered whatever U is
+        always = sum(1 << j for j, w in enumerate(b_weights) if w == 0.0)
+    else:
+        small, large, always = b_weights, a_weights, 0
+        conflicts = [sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(nb)]
+    full = (1 << len(small)) - 1
+    reach = [always]  # reach[u]: the other side's cover when u is uncovered
+    for row in conflicts:
+        reach += [r | row for r in reach]
+    large_sums = {n: _mask_sum(large, n) for n in set(reach)}
+    # weights[u]; the covered part of the small side is full ^ u == full - u
+    weights = [c + large_sums[n] for c, n in zip(reversed(_subset_sums(small)), reach)]
+    best = min(weights)
+    # in exact arithmetic the lightest U form a lattice, so the largest U
+    # is the last lightest index and the smallest U the first
+    if small_is_a:
+        u = full - weights[::-1].index(best)
+        return best, full ^ u, reach[u]
+    u = weights.index(best)
+    return best, reach[u], full ^ u
+
+
 def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) -> None:
     """Split (A, B) on minimum covers until none weighs less than one.
 
     Items are (split, length, conflict row) on side A and (split, length,
-    bit) on side B; the networks join each row to the bits it holds.
+    bit) on side B; a row holds the bits of the B splits it conflicts with.
     """
     norm_a2 = sum(l * l for _, l, _ in a_items)
     norm_b2 = sum(l * l for _, l, _ in b_items)
     # a cut must leave splits of both trees in both halves, so a side
-    # holding one split ends the refinement without a max flow
+    # holding one split ends the refinement without a cover
     if len(a_items) > 1 and len(b_items) > 1:
-        net = FlowNetwork(
-            tuple(l * l / norm_a2 for _, l, _ in a_items),
-            tuple(l * l / norm_b2 for _, l, _ in b_items),
-            tuple(
-                (i, j)
-                for i, (_, _, row) in enumerate(a_items)
-                for j, (_, _, bit) in enumerate(b_items)
-                if row & bit
-            ),
-        )
-        _, (cover_a, cover_b) = max_flow(net)
-        weight = sum(net.a_weights[i] for i in cover_a) + sum(
-            net.b_weights[j] for j in cover_b
+        rows = []  # the rows over this network's B indices
+        for _, _, row in a_items:
+            local = 0
+            for j, (_, _, bit) in enumerate(b_items):
+                if row & bit:
+                    local |= 1 << j
+            rows.append(local)
+        weight, cover_a, cover_b = _min_cover(
+            [l * l / norm_a2 for _, l, _ in a_items],
+            [l * l / norm_b2 for _, l, _ in b_items],
+            rows,
         )
         if weight < 1.0 - _REFINE_TOL:
-            c1 = [a_items[i] for i in range(len(a_items)) if i in cover_a]
-            c2 = [a_items[i] for i in range(len(a_items)) if i not in cover_a]
-            d1 = [b_items[j] for j in range(len(b_items)) if j not in cover_b]
-            d2 = [b_items[j] for j in range(len(b_items)) if j in cover_b]
+            c1 = [item for i, item in enumerate(a_items) if cover_a >> i & 1]
+            c2 = [item for i, item in enumerate(a_items) if not cover_a >> i & 1]
+            d1 = [item for j, item in enumerate(b_items) if not cover_b >> j & 1]
+            d2 = [item for j, item in enumerate(b_items) if cover_b >> j & 1]
             if c1 and c2 and d1 and d2:
                 _refine(c1, d1, out)
                 _refine(c2, d2, out)

@@ -1,7 +1,9 @@
 """Shortest-augmenting-path max flow on the bipartite incompatibility networks.
 
 The geodesic refinement step needs minimum-weight vertex covers of small
-bipartite graphs with real-valued vertex weights.  The standard encoding
+bipartite graphs with real-valued vertex weights; it enumerates those
+whose smaller side holds at most geodesic._ENUM_MAX vertices and brings
+only the larger ones here.  The standard encoding
 is used: source -> a on the first side with capacity w(a), b -> sink on
 the second side with capacity w(b), and an uncapacitated arc a -> b for
 every incompatibility edge.  Flow is augmented along shortest residual

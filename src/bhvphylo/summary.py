@@ -110,13 +110,15 @@ def render_report(rows, taxa) -> str:
     def fmt(value) -> str:
         return f"{value:.6g}" if value is not None else "-"
 
-    lines = [f"{'split':<40} {'consensus':>12} {'mean':>12} {'diff':>12}"]
-    for split, consensus_length, mean_length in rows:
+    labels = [name(split) for split, _, _ in rows]
+    width = max(map(len, ["split", *labels]))
+    lines = [f"{'split':<{width}} {'consensus':>12} {'mean':>12} {'diff':>12}"]
+    for label, (_, consensus_length, mean_length) in zip(labels, rows):
         diff = None
         if consensus_length is not None and mean_length is not None:
             diff = consensus_length - mean_length
         lines.append(
-            f"{name(split):<40} {fmt(consensus_length):>12} "
+            f"{label:<{width}} {fmt(consensus_length):>12} "
             f"{fmt(mean_length):>12} {fmt(diff):>12}"
         )
     return "\n".join(lines)
@@ -126,10 +128,11 @@ def stats_csv_lines(records) -> list[str]:
     """CSV rows split,frequency,mean_length,bin_lo,bin_hi,count (one per bin)."""
     lines = ["split,frequency,mean_length,bin_lo,bin_hi,count"]
     for record in records:
-        label = "|".join(str(i) for i in record.split.indices())
-        for k, count in enumerate(record.counts):
-            lines.append(
-                f"{label},{record.frequency:.17g},{record.mean_length:.17g},"
-                f"{record.bin_edges[k]:.17g},{record.bin_edges[k + 1]:.17g},{count}"
-            )
+        label = "|".join(map(str, record.split.indices()))
+        head = f"{label},{record.frequency:.17g},{record.mean_length:.17g},"
+        edges = [f"{edge:.17g}" for edge in record.bin_edges]
+        lines += [
+            f"{head}{lo},{hi},{count}"
+            for lo, hi, count in zip(edges, edges[1:], record.counts)
+        ]
     return lines

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import sys
@@ -9,7 +10,16 @@ import bhvphylo
 from bhvphylo import frechet
 from bhvphylo import geodesic as geodesic_module
 from bhvphylo.frechet import EstimatorConfig
-from bhvphylo.geodesic import _conflict_rows, _refine, distance, geodesic, interpolate
+from bhvphylo.geodesic import (
+    _ENUM_MAX,
+    _conflict_rows,
+    _min_cover,
+    _refine,
+    distance,
+    geodesic,
+    interpolate,
+)
+from bhvphylo.maxflow import FlowNetwork, max_flow
 from bhvphylo.mcmc import nni_neighbors
 from bhvphylo.treespace import Tree, validate
 
@@ -320,14 +330,15 @@ class TestMatchesReference:
 
 class TestOneSplitSide:
     def test_no_max_flow_when_a_side_holds_one_split(self, rng, monkeypatch):
+        # recorded at the cover step, which max flow sits behind
         sizes = []
-        real = geodesic_module.max_flow
+        real = geodesic_module._min_cover
 
-        def counting(net):
-            sizes.append((len(net.a_weights), len(net.b_weights)))
-            return real(net)
+        def counting(a_weights, b_weights, rows):
+            sizes.append((len(a_weights), len(b_weights)))
+            return real(a_weights, b_weights, rows)
 
-        monkeypatch.setattr(geodesic_module, "max_flow", counting)
+        monkeypatch.setattr(geodesic_module, "_min_cover", counting)
         s, t = t3_pair()
         path = geodesic(s, t)
         assert sizes == []
@@ -344,10 +355,10 @@ class TestOneSplitSide:
         assert all(na > 1 and nb > 1 for na, nb in sizes)
 
     def test_one_by_k_pairs_are_emitted_unsplit(self, rng, monkeypatch):
-        def no_max_flow(net):
-            raise AssertionError("max flow run for a one-split side")
+        def no_cover(*network):
+            raise AssertionError("minimum cover sought for a one-split side")
 
-        monkeypatch.setattr(geodesic_module, "max_flow", no_max_flow)
+        monkeypatch.setattr(geodesic_module, "_min_cover", no_cover)
         taxa = make_taxa(16)
         for trial in range(40):
             splits = sorted(random_tree(taxa, rng).inner)
@@ -390,6 +401,95 @@ class TestOneSplitSide:
                     parts = (a_mask, ~a_mask & ((1 << na) - 1),
                              ~b_mask & ((1 << nb) - 1), b_mask)
                     assert not all(parts), (a_weights, b_weights, edges)
+
+
+def max_flow_cover(a_weights, b_weights, rows):
+    """(weight, A mask, B mask) of max_flow's cover, weighed in index order."""
+    nb = len(b_weights)
+    edges = [(i, j) for i, row in enumerate(rows) for j in range(nb) if row >> j & 1]
+    _, (cover_a, cover_b) = max_flow(FlowNetwork(a_weights, b_weights, edges))
+    weight = sum((a_weights[i] for i in sorted(cover_a)), 0.0)
+    weight += sum((b_weights[j] for j in sorted(cover_b)), 0.0)
+    return weight, sum(1 << i for i in cover_a), sum(1 << j for j in cover_b)
+
+
+def cover_networks(rng, trials):
+    """Networks whose smaller side holds 1.._ENUM_MAX vertices, on either
+    side, so that _min_cover enumerates every one.
+
+    Weights are continuous, dyadic eighths (float-exact sums, so exact
+    ties between covers), one value repeated, or continuous with zeros.
+    Some vertices are made isolated.  Yields (kind, a_weights, b_weights,
+    rows).
+    """
+    kinds = ("continuous", "dyadic", "equal", "zeros")
+    for trial in range(trials):
+        small = 1 + trial // 8 % _ENUM_MAX
+        large = small + int(rng.integers(0, 4))
+        na, nb = (small, large) if trial % 2 else (large, small)
+        kind = kinds[trial // 2 % 4]
+
+        def draw(count):
+            if kind == "dyadic":
+                return [float(x) for x in rng.integers(0, 5, count) / 8]
+            if kind == "equal":
+                return [float(rng.uniform(0.01, 1.0))] * count
+            weights = [float(x) for x in rng.uniform(0.01, 1.0, count)]
+            if kind == "zeros":
+                weights = [0.0 if rng.uniform() < 0.3 else w for w in weights]
+            return weights
+
+        density = rng.uniform(0.2, 0.9)
+        rows = [sum(1 << j for j in range(nb) if rng.uniform() < density) for _ in range(na)]
+        if rng.uniform() < 0.3:
+            rows[int(rng.integers(na))] = 0
+        if rng.uniform() < 0.3:
+            rows = [row & ~(1 << int(rng.integers(nb))) for row in rows]
+        yield kind, draw(na), draw(nb), rows
+
+
+class TestEnumeratedCover:
+    def test_same_cover_and_weight_bits_as_max_flow(self, rng):
+        seen = set()
+        for kind, a_weights, b_weights, rows in cover_networks(rng, 3000):
+            got = _min_cover(a_weights, b_weights, rows)
+            want = max_flow_cover(a_weights, b_weights, rows)
+            assert got[1:] == want[1:], (a_weights, b_weights, rows)
+            assert got[0].hex() == want[0].hex(), (a_weights, b_weights, rows)
+            na, nb = len(a_weights), len(b_weights)
+            seen.add((kind, na <= nb, na == nb))
+            seen.add((na <= nb, min(na, nb)))
+            if 0.0 in a_weights or 0.0 in b_weights:
+                seen.add("zero")
+            if 0 in rows or (1 << nb) - 1 & ~functools.reduce(int.__or__, rows):
+                seen.add("isolated")
+        assert {"zero", "isolated"} <= seen
+        for side in range(1, _ENUM_MAX + 1):
+            assert {(True, side), (False, side)} <= seen
+        for kind in ("continuous", "dyadic", "equal", "zeros"):
+            assert {(kind, True, True), (kind, True, False), (kind, False, False)} <= seen
+
+    def test_weight_matches_brute_force(self, rng):
+        for _, a_weights, b_weights, rows in cover_networks(rng, 600):
+            na, nb = len(a_weights), len(b_weights)
+            if na + nb > 10:
+                continue
+            edges = [(i, j) for i, row in enumerate(rows) for j in range(nb) if row >> j & 1]
+            weight, cover_a, cover_b = _min_cover(a_weights, b_weights, rows)
+            assert all(cover_a >> i & 1 or cover_b >> j & 1 for i, j in edges)
+            best, _ = brute_force_min_cover(a_weights, b_weights, edges)
+            assert weight == pytest.approx(best, abs=1e-12)
+
+    def test_ties_go_to_the_cover_with_fewest_a_vertices(self):
+        # a 2x2 complete network: both one-sided covers weigh 0.5, and a
+        # mixed cover needs three vertices
+        weights = [0.25, 0.25]
+        assert _min_cover(weights, weights, [3, 3]) == (0.5, 0, 3)
+        # isolated: an A vertex stays out, a zero-weight B vertex goes in
+        assert _min_cover([0.5, 0.0], [0.5, 0.0, 0.25], [1, 0]) == (0.5, 0, 3)
+        assert _min_cover([0.5, 0.0, 0.25], [0.5, 0.0], [1, 0, 0]) == (0.5, 0, 3)
+        # a zero-weight A vertex is covered when a neighbour stays uncovered
+        assert _min_cover([0.0, 0.5], [0.25, 0.5], [1, 2]) == (0.5, 1, 2)
 
 
 def complete_conflict_pair(n, a_length, b_length, leaf_length=0.1):
@@ -483,16 +583,14 @@ class TestRefineThresholdTies:
 
     def test_proportional_matchings_are_one_pair(self, rng, monkeypatch):
         covers = []
-        real = geodesic_module.max_flow
+        real = geodesic_module._min_cover
 
-        def recording(net):
-            flow, (cover_a, cover_b) = real(net)
-            weight = sum(net.a_weights[i] for i in cover_a)
-            weight += sum(net.b_weights[j] for j in cover_b)
-            covers.append((0 < len(cover_a) < len(net.a_weights), weight))
-            return flow, (cover_a, cover_b)
+        def recording(a_weights, b_weights, rows):
+            weight, cover_a, cover_b = real(a_weights, b_weights, rows)
+            covers.append((0 < cover_a.bit_count() < len(a_weights), weight))
+            return weight, cover_a, cover_b
 
-        monkeypatch.setattr(geodesic_module, "max_flow", recording)
+        monkeypatch.setattr(geodesic_module, "_min_cover", recording)
         for s, t in proportional_matchings(rng):
             path = geodesic(s, t)
             assert [(p.a_side, p.b_side) for p in path.supports] == [
@@ -504,7 +602,7 @@ class TestRefineThresholdTies:
                     brute_force_distance(s, t), abs=1e-12
                 )
         assert all(weight == pytest.approx(1.0, abs=1e-12) for _, weight in covers)
-        # float dust made the cut pick a cover inside a pair, lighter than 1.0
+        # float dust made a cover inside a pair lighter than 1.0
         assert any(mixed and weight < 1.0 for mixed, weight in covers)
 
     def test_insertion_order_of_inner_does_not_change_the_path(self, rng):

@@ -11,7 +11,7 @@ from bhvphylo.summary import (
     split_frequencies,
     stats_csv_lines,
 )
-from bhvphylo.treespace import Tree, compatible, validate
+from bhvphylo.treespace import TaxonTable, Tree, compatible, validate
 
 from conftest import make_taxa, random_tree, spider_tree, split_of, trees_close
 from oracles import euclidean_mean_tree_vectors, length_vector
@@ -182,6 +182,20 @@ class TestCompareMeanConsensus:
         text = render_report(rows, tree.taxa)
         assert "consensus" in text.splitlines()[0]
         assert len(text.splitlines()) == 1 + len(tree.inner)
+
+    def test_render_report_pads_to_the_longest_label(self, rng):
+        taxa = TaxonTable(tuple(f"taxon_{i:02d}_label" for i in range(16)))
+        tree = random_tree(taxa, rng)
+        rows = compare_mean_consensus([tree] * 3, tree, tree)
+        lines = render_report(rows, taxa).splitlines()
+        labels = ["|".join(taxa.names[i] for i in split.indices()) for split, _, _ in rows]
+        width = max(map(len, labels))
+        assert width > 40
+        # every column ends at the same offset on every line
+        assert len({len(line) for line in lines}) == 1
+        assert lines[0].startswith("split".ljust(width) + " ")
+        for label, line in zip(labels, lines[1:]):
+            assert line.startswith(label.ljust(width) + " ")
 
 
 class TestCsv:
