@@ -47,10 +47,8 @@ def _drop_tiny_splits(tree: Tree) -> Tree:
     return Tree(tree.taxa, tree.leaf_lengths, inner)
 
 
-def _iterates(
-    trees, cfg: EstimatorConfig, step_size
-) -> Iterator[tuple[Tree, float]]:
-    """Yield (iterate, step) pairs of the proximal walk; shared by both estimators."""
+def _iterates(trees, cfg: EstimatorConfig, step_size) -> Iterator[Tree]:
+    """Yield the iterates of the proximal walk; shared by both estimators."""
     count = len(trees)
     rng = np.random.default_rng(cfg.seed)
     current = trees[0]
@@ -67,7 +65,7 @@ def _iterates(
             eta = step_size(i, dist)
             assert 0.0 < eta <= 1.0
             current = path.point(eta)
-        yield current, dist
+        yield current
         i += 1
 
 
@@ -78,7 +76,7 @@ def _run(trees, cfg: EstimatorConfig, step_size) -> Tree:
     checkpoint = trees[0]
     walk = _iterates(trees, cfg, step_size)
     for i in range(iterations):
-        current, _ = next(walk)
+        current = next(walk)
         if cfg.tolerance > 0.0 and (i + 1) % count == 0:
             moved = distance(checkpoint, current)
             if moved < cfg.tolerance:

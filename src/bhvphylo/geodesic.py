@@ -275,7 +275,9 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
         if not a_items or not b_items:
             raise AssertionError("conflict component with an empty side")
         _refine(a_items, b_items, supports)
-    supports.sort(key=lambda p: (p.ratio, sorted(sp.bits for sp in p.a_side)))
+    # A sides of distinct supports are disjoint, so their smallest masks
+    # break ratio ties as the sorted lists of all their masks would
+    supports.sort(key=lambda p: (p.ratio, min(sp.bits for sp in p.a_side)))
 
     return GeodesicPath(
         source=s,

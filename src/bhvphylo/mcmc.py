@@ -9,6 +9,10 @@ ratio, so acceptance only compares unnormalized log posteriors.  The
 chain loop owns the random generator and passes it to each step, so a
 `ChainState` is a snapshot.  Chains are independent and fully
 deterministic given their seeds.
+
+Every state is a binary tree: the posterior's mass lies on the binary,
+top-dimensional orthants, and neither move changes the number of inner
+splits, so `run_chain` rejects a start with fewer.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from .treespace import (
 
 LENGTH_MOVE = "length"
 NNI_MOVE = "nni"
-FALLBACK_MOVE = "length-fallback"
 
 
 class PolytomyError(ValueError):
@@ -110,20 +113,13 @@ def nni_neighbors(tree: Tree, edge: Split) -> tuple[Tree, Tree]:
         raise AssertionError("edge not found below its container")
 
     parent, node = find(root)
-    if len(node.children) != 2:
-        raise PolytomyError(f"{edge} meets a polytomy below")
-    near = [node.children[0].mask, node.children[1].mask]
     full = (1 << tree.taxa.size) - 1
-    if parent.length is None:
-        others = [c.mask for c in parent.children if c.mask != edge.bits]
-        if len(others) != 2:
-            raise PolytomyError(f"{edge} meets a polytomy at the root")
-        far = others
-    else:
-        siblings = [c.mask for c in parent.children if c.mask != edge.bits]
-        if len(siblings) != 1:
-            raise PolytomyError(f"{edge} meets a polytomy above")
-        far = [siblings[0], full ^ parent.mask]
+    near = [c.mask for c in node.children]
+    far = [c.mask for c in parent.children if c.mask != edge.bits]
+    if parent is not root:
+        far.append(full ^ parent.mask)
+    if len(near) != 2 or len(far) != 2:
+        raise PolytomyError(f"{edge} meets a polytomy")
 
     swapped = []
     for exchanged in (near[0] | far[0], near[0] | far[1]):
@@ -153,14 +149,8 @@ def propose(tree: Tree, rng: np.random.Generator, cfg: ProposalConfig) -> tuple[
     if rng.uniform() < cfg.tau:
         return _length_move(tree, rng, cfg.sigma), LENGTH_MOVE
     splits = sorted(tree.inner)
-    if not splits:
-        return _length_move(tree, rng, cfg.sigma), FALLBACK_MOVE
     edge = splits[int(rng.integers(len(splits)))]
-    try:
-        neighbors = nni_neighbors(tree, edge)
-    except PolytomyError:
-        return _length_move(tree, rng, cfg.sigma), FALLBACK_MOVE
-    return neighbors[int(rng.integers(2))], NNI_MOVE
+    return nni_neighbors(tree, edge)[int(rng.integers(2))], NNI_MOVE
 
 
 def mh_step(
@@ -204,7 +194,11 @@ def run_chain(
     log_target: Callable[[Tree], float] | None = None,
 ) -> tuple[list[Tree], list[TraceRow]]:
     """One chain; returns the kept trees and the full trace.  The target
-    defaults to the posterior of `alignment` under the priors of `run`."""
+    defaults to the posterior of `alignment` under the priors of `run`.
+    An `initial` tree that is not a valid binary tree raises ValueError."""
+    # neither move changes the split count: a lower start would stay lower
+    if initial is not None and len(check(initial).inner) < initial.taxa.size - 3:
+        raise ValueError("the chain must start at a binary tree")
     if log_target is None:
         def log_target(tree):
             return log_posterior(tree, alignment, run.dirichlet, run.gamma)

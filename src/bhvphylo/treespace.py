@@ -249,14 +249,10 @@ def tree_topology(tree: Tree) -> Node:
     nodes.sort(key=lambda v: v.mask.bit_count())
     nodes.append(root)
     # the parent is the smallest clade strictly containing the vertex: the
-    # first later one containing it, as clades of equal size are disjoint;
-    # a split holds at least two leaves, so a leaf's search starts at the
-    # inner clades, which follow the leaves
-    n_leaves = tree.taxa.size
-    inner = nodes[n_leaves:]
+    # first later one containing it, as clades of equal size are disjoint
     for i, node in enumerate(nodes):
         mask = node.mask
-        for other in inner if i < n_leaves else nodes[i + 1 :]:
+        for other in nodes[i + 1 :]:
             if other.mask & mask == mask:
                 other.children.append(node)
                 break

@@ -150,7 +150,7 @@ class TestMean:
             objectives = []
             current = None
             for i in range(1000 * count):
-                current, _ = next(walk)
+                current = next(walk)
                 if (i + 1) % count == 0:
                     objectives.append(variance(trees, current))
             tail = objectives[len(objectives) // 2 :]

@@ -299,6 +299,23 @@ class TestMatchesReference:
         for s, t in pairs:
             assert_same_path(geodesic(s, t), reference_geodesic(s, t))
 
+    def test_equal_ratio_supports_in_two_regions(self):
+        # regions are refined root-first, so the {5,6} support is found
+        # first; the tie on ratio 1.0 must still put {1,2} first
+        taxa = make_taxa(10)
+        clade = split_of({1, 2, 3, 4}, 10)
+        s_only = {split_of({1, 2}, 10): 0.3, split_of({5, 6}, 10): 0.3}
+        t_only = {split_of({2, 3}, 10): 0.3, split_of({6, 7}, 10): 0.3}
+        s = Tree(taxa, (0.1,) * 10, {clade: 0.2, **s_only})
+        t = Tree(taxa, (0.1,) * 10, {clade: 0.2, **t_only})
+        path = geodesic(s, t)
+        assert [p.ratio for p in path.supports] == [1.0, 1.0]
+        assert [p.a_side for p in path.supports] == [
+            frozenset({split_of({1, 2}, 10)}),
+            frozenset({split_of({5, 6}, 10)}),
+        ]
+        assert_same_path(path, reference_geodesic(s, t))
+
     @staticmethod
     def estimator_pairs(trees, monkeypatch):
         """The pairs a proximal walk meets: iterates on orthant faces and

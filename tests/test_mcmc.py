@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bhvphylo.mcmc import (
-    FALLBACK_MOVE,
     LENGTH_MOVE,
     NNI_MOVE,
     ChainAbortError,
@@ -127,9 +126,14 @@ class TestNniNeighbors:
 
     def test_polytomy_rejected(self):
         taxa = make_taxa(6)
-        tree = Tree(taxa, (0.1,) * 6, {split_of({1, 2}, 6): 0.3})
-        with pytest.raises(PolytomyError):
-            nni_neighbors(tree, split_of({1, 2}, 6))
+        for clades, edge in (
+            ([{1, 2}], {1, 2}),  # at the root: four other children
+            ([{1, 2, 3}, {4, 5}], {1, 2, 3}),  # below: three children
+            ([{1, 2}, {1, 2, 3, 4}], {1, 2}),  # above: two siblings
+        ):
+            tree = Tree(taxa, (0.1,) * 6, {split_of(c, 6): 0.3 for c in clades})
+            with pytest.raises(PolytomyError):
+                nni_neighbors(tree, split_of(edge, 6))
 
     def test_missing_edge_rejected(self, rng):
         tree = random_tree(make_taxa(5), rng)
@@ -167,20 +171,6 @@ class TestPropose:
             candidate, move = propose(tree, draws, cfg)
             assert move == NNI_MOVE
             assert len(set(candidate.inner) ^ set(tree.inner)) == 2
-
-    def test_fallback_without_inner_edges(self):
-        taxa = make_taxa(5)
-        tree = Tree(taxa, (0.1,) * 5, {})
-        cfg = ProposalConfig(tau=1e-12, sigma=0.05, seed=0)
-        _, move = propose(tree, np.random.default_rng(0), cfg)
-        assert move == FALLBACK_MOVE
-
-    def test_fallback_at_polytomy(self):
-        taxa = make_taxa(6)
-        tree = Tree(taxa, (0.1,) * 6, {split_of({1, 2}, 6): 0.3})
-        cfg = ProposalConfig(tau=1e-12, sigma=0.05, seed=0)
-        _, move = propose(tree, np.random.default_rng(0), cfg)
-        assert move == FALLBACK_MOVE
 
     def test_reflected_lengths_stay_positive(self, rng):
         taxa = make_taxa(4)
@@ -351,6 +341,24 @@ class TestRun:
         samples, _ = run(aln, config)
         assert all(validate(t) == [] for t in samples)
 
+    @pytest.mark.parametrize(
+        "clades",
+        [[], [{1, 2}], [{1, 2}, {4, 5}], [{1, 2}, {2, 3}, {4, 5}]],
+        ids=["star", "one-split", "two-splits", "incompatible"],
+    )
+    def test_non_binary_start_rejected(self, clades):
+        taxa = make_taxa(6)
+        tree = Tree(taxa, (0.1,) * 6, {split_of(c, 6): 0.2 for c in clades})
+        evaluated = []
+        with pytest.raises(ValueError):
+            run(
+                Alignment.from_columns(taxa, []),
+                prior_run_config(),
+                initial=tree,
+                log_target=evaluated.append,
+            )
+        assert evaluated == []
+
     def test_chain_exchangeability(self):
         aln = empty_alignment()
         config = prior_run_config(iterations=200, burn_in=50)
@@ -370,7 +378,7 @@ class TestRun:
         fields = lines[1].split(",")
         assert fields[0] == "0" and fields[1] == "1"
         assert fields[3] in ("0", "1")
-        assert fields[4] in (LENGTH_MOVE, NNI_MOVE, FALLBACK_MOVE)
+        assert fields[4] in (LENGTH_MOVE, NNI_MOVE)
         assert lines[5].startswith("0,5,")
         assert lines[6].startswith("1,1,")
         assert lines[10].startswith("1,5,")
