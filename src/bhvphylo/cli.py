@@ -126,11 +126,6 @@ def _sha256(path) -> str:
 # Commands
 
 def cmd_sample(args) -> int:
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("default")  # each message once, not once per symbol
-        alignment = alignment_from_fasta(args.fasta, args.outgroup)
-    for item in caught:
-        print(f"warning: {item.message}", file=sys.stderr)
     config = RunConfig(
         chains=args.chains,
         iterations=args.iters,
@@ -140,6 +135,11 @@ def cmd_sample(args) -> int:
         dirichlet=DirichletPrior((args.alpha,) * N_SYMBOLS),
         gamma=GammaPrior(shape=args.shape, scale=args.scale),
     )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")  # each message once, not once per symbol
+        alignment = alignment_from_fasta(args.fasta, args.outgroup)
+    for item in caught:
+        print(f"warning: {item.message}", file=sys.stderr)
     samples, trace = run(alignment, config)
 
     kept = kept_iterations(config)
@@ -209,8 +209,9 @@ def _load_trees(path) -> list[Tree]:
 
 
 def _print_estimate(args, estimator) -> int:
+    config = _estimator_config(args)
     trees = _load_trees(args.samples)
-    estimate = estimator(trees, _estimator_config(args))
+    estimate = estimator(trees, config)
     print(serialize_newick(estimate))
     print(f"# variance= {variance(trees, estimate):.17g}")
     return EXIT_OK
@@ -236,8 +237,9 @@ def cmd_splits(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    config = EstimatorConfig(iterations=args.steps, seed=args.seed)
     trees = _load_trees(args.samples)
-    mean_tree = mean(trees, EstimatorConfig(iterations=args.steps, seed=args.seed))
+    mean_tree = mean(trees, config)
     consensus = consensus_majority(trees)
     rows = compare_mean_consensus(trees, mean_tree, consensus)
     print(render_report(rows, trees[0].taxa))

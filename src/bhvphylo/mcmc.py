@@ -60,6 +60,8 @@ class ProposalConfig:
             raise ValueError("tau must lie strictly between 0 and 1")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and positive")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -167,7 +169,11 @@ def mh_step(
     except ArithmeticError as exc:
         raise ChainAbortError(serialize_newick(candidate), exc) from exc
     log_ratio = candidate_post - state.log_post
-    accepted = log_ratio >= 0.0 or math.log(rng.uniform()) < log_ratio
+    if log_ratio >= 0.0:
+        accepted = True
+    else:
+        u = rng.uniform()  # exactly 0.0 with probability 2**-53: log 0 = -inf
+        accepted = (math.log(u) if u > 0.0 else -math.inf) < log_ratio
     if accepted:
         state = ChainState(candidate, candidate_post)
     return state, TraceRow(state.log_post, accepted, move)

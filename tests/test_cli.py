@@ -87,6 +87,36 @@ class TestImport:
         )
         assert result.stdout.strip() == "False"
 
+    def test_estimators_and_summaries_leave_numpy_random_unloaded(self, tmp_path):
+        # numpy.random is 16 modules that only the sampler and `simulate`
+        # draw from; the check right after import keeps its cost out of
+        # the start-up of every command
+        samples = tmp_path / "trees.nwk"
+        samples.write_text(
+            DEMO_TREE + "\n"
+            "((A:0.2,C:0.1):0.1,(B:0.3,D:0.2):0.02,O:0.1);\n"
+            "((A:0.1,B:0.1):0.03,C:0.2,D:0.1,O:0.2);\n"
+        )
+        probe = (
+            "import sys, bhvphylo.cli\n"
+            "loaded = ['import'] if 'numpy.random' in sys.modules else []\n"
+            "for command in ('mean', 'median', 'compare', 'consensus', 'splits'):\n"
+            "    steps = ['--steps', '30'] if command in ('mean', 'median', 'compare') else []\n"
+            "    assert bhvphylo.cli.main([command, sys.argv[1]] + steps) == 0\n"
+            "    if 'numpy.random' in sys.modules:\n"
+            "        loaded.append(command)\n"
+            "print('loaded', loaded, file=sys.stderr)\n"
+        )
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        result = subprocess.run(
+            [sys.executable, "-c", probe, str(samples)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stderr.splitlines()[-1] == "loaded []"
+
 
 class TestSimulate:
     def test_deterministic_fasta(self, tmp_path):
@@ -285,6 +315,22 @@ class TestSample:
         assert rc == EXIT_INPUT
         assert message in capsys.readouterr().err
         assert not (tmp_path / "x.samples").exists()
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("command", ["mean", "median", "compare", "sample"])
+    def test_negative_seed_is_input_error_before_any_input_is_read(
+        self, command, tmp_path, capsys
+    ):
+        # the input does not exist: the seed is rejected before it is opened
+        argv = [command, str(tmp_path / "missing"), "--seed", "-1"]
+        if command == "sample":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert "seed must be a nonnegative integer, got -1" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEstimators:

@@ -5,7 +5,9 @@ import pytest
 
 from bhvphylo.frechet import (
     EstimatorConfig,
+    _draw,
     _iterates,
+    _uint32_stream,
     mean,
     median,
     variance,
@@ -50,6 +52,35 @@ class TestConfig:
     def test_rejects_negative_tolerance(self):
         with pytest.raises(ValueError):
             EstimatorConfig(tolerance=-1.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            EstimatorConfig(seed=seed)
+
+
+SEEDS = [0, 2**32, 2**64, 2**200 + 0x5EED]
+
+
+class TestPickStream:
+    """The random visiting order is numpy's `default_rng(seed).integers(n)`."""
+
+    # 3 * 2**30 rejects about a quarter of its first draws
+    @pytest.mark.parametrize("n", [1, 2, 30, 2**31, 3 * 2**30, 2**32 - 1, 2**32])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_numpy_draw_for_draw(self, seed, n):
+        expected = np.random.default_rng(seed)
+        words = _uint32_stream(seed)
+        assert [_draw(words, n) for _ in range(300)] == [
+            int(expected.integers(n)) for _ in range(300)
+        ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_bounds_share_one_stream(self, seed):
+        bounds = [1, 2, 30, 1, 2**31, 3 * 2**30, 2**32 - 1, 2**32, 7, 1, 1] * 30
+        expected = np.random.default_rng(seed)
+        words = _uint32_stream(seed)
+        assert [_draw(words, n) for n in bounds] == [int(expected.integers(n)) for n in bounds]
 
 
 class TestMedian:

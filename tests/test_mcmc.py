@@ -93,6 +93,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             RunConfig(iterations=100, burn_in=100)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3"])
+    def test_seed_is_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
+            ProposalConfig(seed=seed)
+
 
 class TestNniNeighbors:
     def test_quartet_example(self):
@@ -218,6 +223,28 @@ class TestMhStep:
         with pytest.raises(ChainAbortError, match=r"column 2.*underflow") as info:
             mh_step(state, rng, config.proposal, broken)
         assert info.value.newick.endswith(";")
+
+    @pytest.mark.parametrize("log_target,accepted", [(-50.0, True), (-math.inf, False)])
+    def test_zero_uniform_accepts_every_finite_ratio(self, log_target, accepted, rng):
+        # a Generator's uniform() is exactly 0.0 with probability 2**-53;
+        # log 0 = -inf lies below every finite log ratio
+        class ZeroUniform:
+            def uniform(self):
+                return 0.0
+
+            def integers(self, n):
+                return 0
+
+            def normal(self, loc, scale):
+                return loc + scale
+
+        state = ChainState(random_tree(make_taxa(5), rng), 0.0)
+        new, row = mh_step(state, ZeroUniform(), ProposalConfig(), lambda tree: log_target)
+        assert row.move == LENGTH_MOVE
+        assert row.accepted is accepted
+        assert (new.log_post, new.current != state.current) == (
+            (log_target, True) if accepted else (0.0, False)
+        )
 
     def test_cache_coherence(self):
         # every state is kept, so row i reports the log posterior of sample i
