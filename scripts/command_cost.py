@@ -17,8 +17,9 @@ REPEATS forks and the modules the command imported that `import
 bhvphylo.cli` had not.  A module that a newly imported module imported is
 counted under it, so each listed module is one lazy import made by code
 that was already loaded, followed by the number of modules it brought
-in.  The script parses no arguments: argparse would load `locale` before
-the forks, which the benchmark's server does not.
+in.  The script parses no arguments: argparse would import `gettext`,
+and parsing would import `locale`, before the forks, so a command that
+imported them itself would not show them.
 """
 
 from __future__ import annotations

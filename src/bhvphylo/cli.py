@@ -2,17 +2,19 @@
 
 Every command is deterministic given its inputs and seed; `sample`
 writes a manifest recording everything needed to reproduce its outputs
-byte for byte.  Exit codes: 0 success, 2 input error, 3 numerical
-failure.
+byte for byte.  Exit codes: 0 success, 2 input error (a usage error
+among them), 3 numerical failure.  The command line is the table
+COMMANDS, read by `parse_args`.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import warnings
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -263,9 +265,11 @@ def cmd_interpolate(args) -> int:
 def cmd_simulate(args) -> int:
     if args.columns < 0:
         raise InputError(f"--columns must be nonnegative, got {args.columns}")
+    alpha = DirichletPrior((args.alpha,) * N_SYMBOLS).alpha
+    if args.seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, got {args.seed!r}")
     tree = _read_tree_arg(args.tree, outgroup=args.outgroup)
     rng = np.random.default_rng(args.seed)
-    alpha = (args.alpha,) * N_SYMBOLS
     root = tree_topology(tree)
     names = tree.taxa.names
     sequences = {name: [] for name in names}
@@ -300,88 +304,275 @@ def cmd_simulate(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Arguments
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bhvphylo",
-        description="Posterior tree sampling and geodesic tree-space summaries",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One `--name VALUE` option of a command."""
 
-    sample = sub.add_parser("sample", help="run the MCMC sampler on a FASTA alignment")
-    sample.add_argument("fasta", help="alignment in FASTA format")
-    sample.add_argument("--out", required=True, help="output prefix")
-    sample.add_argument("--seed", type=int, required=True, help="RNG seed")
-    sample.add_argument("--alpha", type=float, default=0.2, help="Dirichlet pseudocount")
-    sample.add_argument("--shape", type=float, default=1.0, help="gamma prior shape")
-    sample.add_argument("--scale", type=float, default=0.1, help="gamma prior scale")
-    sample.add_argument("--tau", type=float, default=0.9, help="length-move probability")
-    sample.add_argument("--sigma", type=float, default=0.05, help="length proposal stddev")
-    sample.add_argument("--chains", type=int, default=1)
-    sample.add_argument("--iters", type=int, default=20000)
-    sample.add_argument("--burnin", type=int, default=4000)
-    sample.add_argument("--thin", type=int, default=1)
-    sample.add_argument("--outgroup", default=None, help="taxon used as leaf 0")
-    sample.set_defaults(func=cmd_sample)
+    help: str
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    dest: str | None = None  # attribute it sets; None: the name without `--`
 
-    for name, func in (("mean", cmd_mean), ("median", cmd_median)):
-        cmd = sub.add_parser(name, help=f"geodesic {name} of a samples file")
-        cmd.add_argument("samples", help="file of Newick lines")
-        cmd.add_argument("--order", choices=("random", "cyclic"), default="random")
-        cmd.add_argument("--steps", type=int, default=None, help="proximal steps")
-        cmd.add_argument("--seed", type=int, default=0)
-        cmd.add_argument("--tolerance", type=float, default=0.0)
-        cmd.set_defaults(func=func)
 
-    consensus = sub.add_parser("consensus", help="majority-rule consensus tree")
-    consensus.add_argument("samples")
-    consensus.set_defaults(func=cmd_consensus)
+class Command(NamedTuple):
+    func: str  # the module global that runs the command
+    help: str
+    positionals: dict[str, str]  # name -> help, in the order they are given
+    options: dict[str, Option]
 
-    splits = sub.add_parser("splits", help="split frequencies and length histograms")
-    splits.add_argument("samples")
-    splits.add_argument("--bins", type=int, default=DEFAULT_BINS)
-    splits.set_defaults(func=cmd_splits)
 
-    compare = sub.add_parser("compare", help="consensus versus mean, edge by edge")
-    compare.add_argument("samples")
-    compare.add_argument("--steps", type=int, default=None, help="proximal steps")
-    compare.add_argument("--seed", type=int, default=0)
-    compare.set_defaults(func=cmd_compare)
+_SAMPLES = {"samples": "file of Newick lines"}
+_TREES = {"tree_a": "Newick string or file", "tree_b": "Newick string or file"}
+_OUTGROUP = Option("taxon used as leaf 0")
+_STEPS = Option("proximal steps (default: 1000 per sample)", int)
+_ORDER_SEED = Option("RNG seed of the visiting order", int, 0)
+_ESTIMATOR = {
+    "--order": Option(
+        "order in which the samples are visited",
+        default="random",
+        choices=("random", "cyclic"),
+    ),
+    "--steps": _STEPS,
+    "--seed": _ORDER_SEED,
+    "--tolerance": Option(
+        "stop once a pass over the samples moves the estimate less; 0: never",
+        float,
+        0.0,
+    ),
+}
 
-    dist = sub.add_parser("distance", help="geodesic distance between two trees")
-    dist.add_argument("tree_a", help="Newick string or file")
-    dist.add_argument("tree_b", help="Newick string or file")
-    dist.add_argument("--outgroup", default=None)
-    dist.set_defaults(func=cmd_distance)
+# The whole command line.  `main` looks the command's function up by name
+# on each call, so that a wrapper bound to that name is the one called.
+COMMANDS = {
+    "sample": Command(
+        "cmd_sample",
+        "run the MCMC sampler on a FASTA alignment",
+        {"fasta": "alignment in FASTA format"},
+        {
+            "--out": Option("output prefix", required=True),
+            "--seed": Option("RNG seed of the first chain", int, required=True),
+            "--alpha": Option("Dirichlet pseudocount", float, 0.2),
+            "--shape": Option("gamma prior shape", float, 1.0),
+            "--scale": Option("gamma prior scale", float, 0.1),
+            "--tau": Option("length-move probability", float, 0.9),
+            "--sigma": Option("length proposal stddev", float, 0.05),
+            "--chains": Option("independent chains", int, 1),
+            "--iters": Option("iterations per chain", int, 20000),
+            "--burnin": Option("iterations dropped from each chain's start", int, 4000),
+            "--thin": Option("keep every THIN-th iteration", int, 1),
+            "--outgroup": Option("taxon used as leaf 0 (default: the first sequence)"),
+        },
+    ),
+    "mean": Command(
+        "cmd_mean", "geodesic mean of a samples file", _SAMPLES, _ESTIMATOR
+    ),
+    "median": Command(
+        "cmd_median", "geodesic median of a samples file", _SAMPLES, _ESTIMATOR
+    ),
+    "consensus": Command(
+        "cmd_consensus", "majority-rule consensus tree", _SAMPLES, {}
+    ),
+    "splits": Command(
+        "cmd_splits",
+        "split frequencies and length histograms",
+        _SAMPLES,
+        {"--bins": Option("histogram bins per split", int, DEFAULT_BINS)},
+    ),
+    "compare": Command(
+        "cmd_compare",
+        "consensus versus mean, edge by edge",
+        _SAMPLES,
+        {"--steps": _STEPS, "--seed": _ORDER_SEED},
+    ),
+    "distance": Command(
+        "cmd_distance",
+        "geodesic distance between two trees",
+        _TREES,
+        {"--outgroup": _OUTGROUP},
+    ),
+    "interpolate": Command(
+        "cmd_interpolate",
+        "point along the geodesic",
+        _TREES,
+        {
+            "--lambda": Option(
+                "fraction of the way from tree_a to tree_b",
+                float,
+                required=True,
+                dest="lam",
+            ),
+            "--outgroup": _OUTGROUP,
+        },
+    ),
+    "simulate": Command(
+        "cmd_simulate",
+        "draw a synthetic alignment from a tree",
+        {"tree": "Newick string or file"},
+        {
+            "--columns": Option("alignment columns", int, required=True),
+            "--seed": Option("RNG seed", int, required=True),
+            "--alpha": Option("Dirichlet pseudocount", float, 0.2),
+            "--out": Option("FASTA path (default: standard output)"),
+            "--outgroup": _OUTGROUP,
+        },
+    ),
+}
 
-    interp = sub.add_parser("interpolate", help="point along the geodesic")
-    interp.add_argument("tree_a")
-    interp.add_argument("tree_b")
-    interp.add_argument("--lambda", dest="lam", type=float, required=True)
-    interp.add_argument("--outgroup", default=None)
-    interp.set_defaults(func=cmd_interpolate)
+_PROG = "bhvphylo"
+_HELP_ROW = ("-h, --help", "show this help message and exit")
 
-    simulate = sub.add_parser(
-        "simulate", help="draw a synthetic alignment from a tree"
-    )
-    simulate.add_argument("tree", help="Newick string or file")
-    simulate.add_argument("--columns", type=int, required=True)
-    simulate.add_argument("--seed", type=int, required=True)
-    simulate.add_argument("--alpha", type=float, default=0.2)
-    simulate.add_argument("--out", default=None, help="FASTA path (default stdout)")
-    simulate.add_argument("--outgroup", default=None)
-    simulate.set_defaults(func=cmd_simulate)
 
-    return parser
+class UsageError(Exception):
+    """A command line that COMMANDS does not describe."""
+
+    def __init__(self, command: str | None, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace | str:
+    """The arguments that `argv` (command first) gives, or the text it asks
+    for with `-h`, `--help` or `--version`.
+
+    `--name VALUE` and `--name=VALUE` set one option; the name must match
+    exactly, and VALUE may start with `-`.  Any other token that starts
+    with `-` is an error, and the rest are the positionals, in order.
+    Raises UsageError.
+    """
+    if not argv:
+        raise UsageError(None, "the following arguments are required: command")
+    command, *rest = argv
+    if command in ("-h", "--help"):
+        return _help(None)
+    if command == "--version":
+        return __version__
+    if command not in COMMANDS:
+        if command.startswith("-"):
+            raise UsageError(None, f"unrecognized arguments: {command}")
+        raise UsageError(
+            None, f"argument command: {_invalid_choice(command, COMMANDS)}"
+        )
+    spec = COMMANDS[command]
+    values = {"command": command}
+    for name, option in spec.options.items():
+        values[option.dest or name[2:]] = option.default
+    given, positionals = set(), []
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return _help(command)
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        name, equals, text = token.partition("=")
+        option = spec.options.get(name)
+        if option is None:
+            raise UsageError(command, f"unrecognized arguments: {token}")
+        if not equals:
+            text = next(tokens, None)
+            if text is None:
+                raise UsageError(command, f"argument {name}: expected one argument")
+        if option.choices and text not in option.choices:
+            raise UsageError(
+                command, f"argument {name}: {_invalid_choice(text, option.choices)}"
+            )
+        try:
+            values[option.dest or name[2:]] = option.type(text)
+        except ValueError:
+            raise UsageError(
+                command,
+                f"argument {name}: invalid {option.type.__name__} value: {text!r}",
+            ) from None
+        given.add(name)
+    missing = list(spec.positionals)[len(positionals):] + [
+        name for name, option in spec.options.items()
+        if option.required and name not in given
+    ]
+    if missing:
+        raise UsageError(
+            command, f"the following arguments are required: {', '.join(missing)}"
+        )
+    if len(positionals) > len(spec.positionals):
+        extra = " ".join(positionals[len(spec.positionals):])
+        raise UsageError(command, f"unrecognized arguments: {extra}")
+    values.update(zip(spec.positionals, positionals))
+    return SimpleNamespace(**values)
+
+
+def _invalid_choice(text: str, choices) -> str:
+    return f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _metavar(name: str, option: Option) -> str:
+    if option.choices:
+        return "{" + ",".join(option.choices) + "}"
+    return name[2:].upper()
+
+
+def _usage(command: str | None) -> str:
+    """The `usage:` line(s) of the tool, or of one command."""
+    if command is None:
+        return f"usage: {_PROG} [-h] [--version] {{{','.join(COMMANDS)}}} ..."
+    spec = COMMANDS[command]
+    parts = ["[-h]"]
+    for name, option in spec.options.items():
+        part = f"{name} {_metavar(name, option)}"
+        parts.append(part if option.required else f"[{part}]")
+    parts += spec.positionals
+    # continuation lines start under the first part
+    line = head = f"usage: {_PROG} {command}"
+    lines = []
+    for part in parts:
+        if len(line) + 1 + len(part) > 79 and line.strip():
+            lines.append(line)
+            line = " " * len(head)
+        line += " " + part
+    return "\n".join(lines + [line])
+
+
+def _help(command: str | None) -> str:
+    if command is None:
+        description = "Posterior tree sampling and geodesic tree-space summaries"
+        sections = {
+            "commands:": [(name, spec.help) for name, spec in COMMANDS.items()],
+            "options:": [_HELP_ROW, ("--version", "show the version and exit")],
+        }
+    else:
+        spec = COMMANDS[command]
+        description = spec.help
+        options = [_HELP_ROW]
+        for name, option in spec.options.items():
+            text = option.help
+            if option.default is not None:
+                text += f" (default: {option.default})"
+            options.append((f"{name} {_metavar(name, option)}", text))
+        sections = {
+            "positional arguments:": list(spec.positionals.items()),
+            "options:": options,
+        }
+    width = max(len(left) for rows in sections.values() for left, _ in rows)
+    lines = [_usage(command), "", description]
+    for title, rows in sections.items():
+        lines += ["", title] + [f"  {left:<{width}}  {text}" for left, text in rows]
+    return "\n".join(lines)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        return args.func(args)
+        args = parse_args(argv)
+    except UsageError as exc:
+        prog = _PROG if exc.command is None else f"{_PROG} {exc.command}"
+        print(f"{_usage(exc.command)}\n{prog}: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if isinstance(args, str):
+        print(args)
+        return EXIT_OK
+    try:
+        return globals()[COMMANDS[args.command].func](args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

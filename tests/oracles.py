@@ -19,6 +19,10 @@ verbatim; the tokenizing reader must return the same tree or raise the
 same class of exception, except that it rejects text after the `;`.
 The reference topology is the earlier two-search `tree_topology`, kept
 verbatim; the one-pass version must build the same vertex structure.
+The reference argument parser is the argparse `build_parser` the
+command line used before it read its arguments from one table, kept
+verbatim; the table's reader must give the same arguments and reject
+what it rejects, except that it takes no abbreviated option names.
 `median_objective` is the exception: it sums the
 program's own distances, for tests that compare an estimate's objective
 with an oracle's.  This module imports the package and nothing from the tests,
@@ -27,15 +31,29 @@ so that `perfbench/verify.py` can load it on its own.
 
 from __future__ import annotations
 
+import argparse
 import itertools
 import math
 from collections import deque
 
 import numpy as np
 
+from bhvphylo import __version__
+from bhvphylo.cli import (
+    cmd_compare,
+    cmd_consensus,
+    cmd_distance,
+    cmd_interpolate,
+    cmd_mean,
+    cmd_median,
+    cmd_sample,
+    cmd_simulate,
+    cmd_splits,
+)
 from bhvphylo.geodesic import GeodesicPath, SupportPair, distance
 from bhvphylo.maxflow import FlowNetwork
 from bhvphylo.phylo_model import N_SYMBOLS, ColumnLikelihoodError, mutation_prob
+from bhvphylo.summary import DEFAULT_BINS
 from bhvphylo.treespace import (
     _NAME_STOP,
     InvalidTreeError,
@@ -954,3 +972,81 @@ def enumerate_binary_topologies(n_leaves: int) -> set[frozenset[Split]]:
                 grown.append((new, next_vertex + 1))
         partial = grown
     return {_splits_of_adjacency(adj, n_leaves) for adj, _ in partial}
+
+
+# ---------------------------------------------------------------------------
+# Reference argument parser (argparse, as the command line had it)
+
+def reference_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="bhvphylo",
+        description="Posterior tree sampling and geodesic tree-space summaries",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    sample = sub.add_parser("sample", help="run the MCMC sampler on a FASTA alignment")
+    sample.add_argument("fasta", help="alignment in FASTA format")
+    sample.add_argument("--out", required=True, help="output prefix")
+    sample.add_argument("--seed", type=int, required=True, help="RNG seed")
+    sample.add_argument("--alpha", type=float, default=0.2, help="Dirichlet pseudocount")
+    sample.add_argument("--shape", type=float, default=1.0, help="gamma prior shape")
+    sample.add_argument("--scale", type=float, default=0.1, help="gamma prior scale")
+    sample.add_argument("--tau", type=float, default=0.9, help="length-move probability")
+    sample.add_argument("--sigma", type=float, default=0.05, help="length proposal stddev")
+    sample.add_argument("--chains", type=int, default=1)
+    sample.add_argument("--iters", type=int, default=20000)
+    sample.add_argument("--burnin", type=int, default=4000)
+    sample.add_argument("--thin", type=int, default=1)
+    sample.add_argument("--outgroup", default=None, help="taxon used as leaf 0")
+    sample.set_defaults(func=cmd_sample)
+
+    for name, func in (("mean", cmd_mean), ("median", cmd_median)):
+        cmd = sub.add_parser(name, help=f"geodesic {name} of a samples file")
+        cmd.add_argument("samples", help="file of Newick lines")
+        cmd.add_argument("--order", choices=("random", "cyclic"), default="random")
+        cmd.add_argument("--steps", type=int, default=None, help="proximal steps")
+        cmd.add_argument("--seed", type=int, default=0)
+        cmd.add_argument("--tolerance", type=float, default=0.0)
+        cmd.set_defaults(func=func)
+
+    consensus = sub.add_parser("consensus", help="majority-rule consensus tree")
+    consensus.add_argument("samples")
+    consensus.set_defaults(func=cmd_consensus)
+
+    splits = sub.add_parser("splits", help="split frequencies and length histograms")
+    splits.add_argument("samples")
+    splits.add_argument("--bins", type=int, default=DEFAULT_BINS)
+    splits.set_defaults(func=cmd_splits)
+
+    compare = sub.add_parser("compare", help="consensus versus mean, edge by edge")
+    compare.add_argument("samples")
+    compare.add_argument("--steps", type=int, default=None, help="proximal steps")
+    compare.add_argument("--seed", type=int, default=0)
+    compare.set_defaults(func=cmd_compare)
+
+    dist = sub.add_parser("distance", help="geodesic distance between two trees")
+    dist.add_argument("tree_a", help="Newick string or file")
+    dist.add_argument("tree_b", help="Newick string or file")
+    dist.add_argument("--outgroup", default=None)
+    dist.set_defaults(func=cmd_distance)
+
+    interp = sub.add_parser("interpolate", help="point along the geodesic")
+    interp.add_argument("tree_a")
+    interp.add_argument("tree_b")
+    interp.add_argument("--lambda", dest="lam", type=float, required=True)
+    interp.add_argument("--outgroup", default=None)
+    interp.set_defaults(func=cmd_interpolate)
+
+    simulate = sub.add_parser(
+        "simulate", help="draw a synthetic alignment from a tree"
+    )
+    simulate.add_argument("tree", help="Newick string or file")
+    simulate.add_argument("--columns", type=int, required=True)
+    simulate.add_argument("--seed", type=int, required=True)
+    simulate.add_argument("--alpha", type=float, default=0.2)
+    simulate.add_argument("--out", default=None, help="FASTA path (default stdout)")
+    simulate.add_argument("--outgroup", default=None)
+    simulate.set_defaults(func=cmd_simulate)
+
+    return parser

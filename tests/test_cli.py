@@ -1,19 +1,26 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhvphylo.cli as cli
-from bhvphylo.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from bhvphylo import __version__
+from bhvphylo.cli import COMMANDS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from bhvphylo.geodesic import distance
 from bhvphylo.phylo_model import ColumnLikelihoodError
 from bhvphylo.treespace import load_samples, parse_newick
 
 from conftest import trees_close
+from oracles import reference_parser
 
 DEMO_TREE = "((A:0.1,B:0.2):0.05,(C:0.3,D:0.1):0.07,O:0.1);"
 
@@ -90,7 +97,8 @@ class TestImport:
     def test_estimators_and_summaries_leave_numpy_random_unloaded(self, tmp_path):
         # numpy.random is 16 modules that only the sampler and `simulate`
         # draw from; the check right after import keeps its cost out of
-        # the start-up of every command
+        # the start-up of every command.  No command parses its arguments
+        # with argparse, whose messages import gettext and locale.
         samples = tmp_path / "trees.nwk"
         samples.write_text(
             DEMO_TREE + "\n"
@@ -99,22 +107,37 @@ class TestImport:
         )
         probe = (
             "import sys, bhvphylo.cli\n"
+            "def parsing():\n"
+            "    return [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
             "loaded = ['import'] if 'numpy.random' in sys.modules else []\n"
+            "parsed = ['import'] if parsing() else []\n"
             "for command in ('mean', 'median', 'compare', 'consensus', 'splits'):\n"
             "    steps = ['--steps', '30'] if command in ('mean', 'median', 'compare') else []\n"
             "    assert bhvphylo.cli.main([command, sys.argv[1]] + steps) == 0\n"
             "    if 'numpy.random' in sys.modules:\n"
             "        loaded.append(command)\n"
+            "    if parsing():\n"
+            "        parsed.append(command)\n"
+            "tree = " + repr(DEMO_TREE) + "\n"
+            "fasta, run = sys.argv[2] + '.fasta', sys.argv[2] + '.run'\n"
+            "for argv in (['distance', tree, tree], ['interpolate', tree, tree, '--lambda', '0.5'],\n"
+            "             ['simulate', tree, '--columns', '20', '--seed', '1', '--out', fasta],\n"
+            "             ['sample', fasta, '--out', run, '--seed', '1', '--iters', '10', '--burnin', '2']):\n"
+            "    assert bhvphylo.cli.main(argv) == 0\n"
+            "    if parsing():\n"
+            "        parsed.append(argv[0])\n"
+            "print('parsed', parsed, file=sys.stderr)\n"
             "print('loaded', loaded, file=sys.stderr)\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
         result = subprocess.run(
-            [sys.executable, "-c", probe, str(samples)],
+            [sys.executable, "-c", probe, str(samples), str(tmp_path / "sim")],
             env=dict(os.environ, PYTHONPATH=src),
             capture_output=True,
             text=True,
             check=True,
         )
+        assert result.stderr.splitlines()[-2] == "parsed []"
         assert result.stderr.splitlines()[-1] == "loaded []"
 
 
@@ -146,6 +169,27 @@ class TestSimulate:
         assert rc == EXIT_INPUT
         assert "--columns" in capsys.readouterr().err
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--alpha", "0", "pseudocounts must be finite and positive"),
+            ("--alpha", "-1", "pseudocounts must be finite and positive"),
+            ("--alpha", "nan", "pseudocounts must be finite and positive"),
+            ("--alpha", "inf", "pseudocounts must be finite and positive"),
+            ("--seed", "-1", "seed must be a nonnegative integer, got -1"),
+        ],
+    )
+    def test_bad_alpha_or_seed_is_input_error_before_the_tree_is_read(
+        self, option, value, message, tmp_path, capsys
+    ):
+        # the tree file does not exist: the option is rejected before it is opened
+        out = tmp_path / "aln.fasta"
+        argv = ["simulate", str(tmp_path / "missing.nwk"), "--columns", "5",
+                "--seed", "7", "--out", str(out), option, value]
+        assert main(argv) == EXIT_INPUT
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alphabet_and_shape(self, demo_fasta):
         records = cli.read_fasta(demo_fasta)
@@ -526,3 +570,188 @@ class TestGeometryCommands:
     def test_lambda_out_of_range_is_input_error(self):
         rc = main(["interpolate", DEMO_TREE, DEMO_TREE, "--lambda", "1.5"])
         assert rc == EXIT_INPUT
+
+
+# argparse reads a token that starts with `-` as an option name unless it
+# looks like a negative number, so `--tolerance -1e-05` is an error there;
+# the table's reader takes any token after an option name as its value
+ARGPARSE_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+PARSER_SETTINGS = settings(max_examples=300, deadline=None, database=None,
+                           derandomize=True)
+# what a command line can get wrong, each rejected by both parsers
+BREAKS = ("unknown option", "missing value", "bad value", "missing positional",
+          "extra positional", "missing required option", "unknown command")
+
+
+def _value(draw, option):
+    if option.choices:
+        return draw(st.sampled_from(option.choices))
+    if option.type is int:
+        return str(draw(st.integers(-10**6, 10**6)))
+    if option.type is float:
+        return draw(st.one_of(
+            st.floats(allow_nan=False).map(repr),
+            st.sampled_from(("inf", "-inf", ".5", "-.5", "-3", "1e-3", "-1E3")),
+        ))
+    # argparse drops a value that is exactly `--`
+    return draw(st.text("aO_./:-", max_size=6).filter(lambda text: text != "--"))
+
+
+@st.composite
+def command_lines(draw, broken=None):
+    """A command line of a random command: random options in random
+    order, each `--name value` or `--name=value`, repeats allowed, with
+    the positionals in order among them; `broken` names one of BREAKS."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    spec = COMMANDS[command]
+    required = [name for name, option in spec.options.items() if option.required]
+    if broken == "missing required option" and not required:
+        broken = "unknown command"
+    names = draw(st.lists(st.sampled_from(sorted(spec.options)), max_size=8)
+                 if spec.options else st.just([]))
+    names += required
+    if broken == "missing required option":
+        dropped = draw(st.sampled_from(required))
+        names = [name for name in names if name != dropped]
+    items = []
+    for name in draw(st.permutations(names)):
+        text = _value(draw, spec.options[name])
+        joined = draw(st.booleans()) or (
+            text.startswith("-") and not ARGPARSE_NEGATIVE_NUMBER.match(text)
+        )
+        items.append([f"{name}={text}"] if joined else [name, text])
+    positionals = [draw(st.text("abO_./();:,", max_size=8)) for _ in spec.positionals]
+    if broken == "missing positional":
+        positionals.pop()
+    slots = sorted(draw(st.lists(st.integers(0, len(items)),
+                                 min_size=len(positionals), max_size=len(positionals))))
+    for slot, text in reversed(list(zip(slots, positionals))):
+        items.insert(slot, [text])
+    argv = [command] + [token for item in items for token in item]
+    typed = [name for name, option in spec.options.items()
+             if option.type is not str or option.choices]
+    if broken == "unknown option":
+        argv += ["--bogus", "1"]
+    elif broken == "missing value" and spec.options:
+        argv.append(draw(st.sampled_from(sorted(spec.options))))
+    elif broken == "bad value" and typed:
+        argv += [draw(st.sampled_from(typed)), "1,5"]  # no number and no choice
+    elif broken in ("missing value", "bad value", "extra positional"):
+        argv.append("extra")
+    elif broken == "unknown command":
+        argv[0] = command[:-1]
+    return argv
+
+
+def _arguments(namespace) -> dict:
+    return {k: v for k, v in vars(namespace).items() if k not in ("func", "command")}
+
+
+class TestArguments:
+    @PARSER_SETTINGS
+    @given(command_lines())
+    def test_reader_gives_the_reference_parsers_arguments(self, argv):
+        assert _arguments(cli.parse_args(argv)) == _arguments(
+            reference_parser().parse_args(argv)
+        )
+
+    @PARSER_SETTINGS
+    @given(st.sampled_from(BREAKS).flatmap(lambda broken: command_lines(broken)))
+    def test_reader_rejects_what_the_reference_parser_rejects(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == EXIT_INPUT
+            with pytest.raises(SystemExit) as exc:
+                reference_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("usage: bhvphylo")
+
+    @pytest.mark.parametrize(
+        "argv,abbreviated",
+        [
+            (["sample", "aln.fasta", "--out", "run", "--seed", "1", "--iters", "9"],
+             "--iter"),
+            (["mean", "run.samples", "--tolerance", "0.5"], "--tol"),
+            (["splits", "run.samples", "--bins", "7"], "--bin"),
+            (["interpolate", "a.nwk", "b.nwk", "--lambda", "0.5"], "--lamb"),
+            (["simulate", "t.nwk", "--seed", "1", "--columns", "5"], "--col"),
+        ],
+    )
+    def test_abbreviated_option_is_rejected(self, argv, abbreviated):
+        # the one difference from the reference parser, which reads a
+        # unique prefix as the whole name
+        full = next(t for t in argv if t.startswith(abbreviated))
+        short = [abbreviated if token == full else token for token in argv]
+        assert _arguments(reference_parser().parse_args(short)) == _arguments(
+            cli.parse_args(argv)
+        )
+        with pytest.raises(cli.UsageError, match=f"unrecognized arguments: {abbreviated}"):
+            cli.parse_args(short)
+
+    @pytest.mark.parametrize(
+        "argv,prog,message",
+        [
+            ([], "bhvphylo", "the following arguments are required: command"),
+            (["sampel"], "bhvphylo", "argument command: invalid choice: 'sampel'"),
+            (["--seed", "1"], "bhvphylo", "unrecognized arguments: --seed"),
+            (["mean", "--steps", "5"], "bhvphylo mean",
+             "the following arguments are required: samples"),
+            (["mean", "s", "--order", "sideways"], "bhvphylo mean",
+             "argument --order: invalid choice: 'sideways'"),
+            (["mean", "s", "--steps", "2.5"], "bhvphylo mean",
+             "argument --steps: invalid int value: '2.5'"),
+            (["mean", "s", "--seed"], "bhvphylo mean",
+             "argument --seed: expected one argument"),
+            (["consensus", "s", "t"], "bhvphylo consensus", "unrecognized arguments: t"),
+            (["sample", "aln.fasta", "--out", "run", "--iters", "5"], "bhvphylo sample",
+             "the following arguments are required: --seed"),
+            (["simulate", "t.nwk", "--columns", "5", "--seed", "1", "--out", "x.fasta",
+              "--alpha", "lots"], "bhvphylo simulate",
+             "argument --alpha: invalid float value: 'lots'"),
+        ],
+    )
+    def test_usage_error_prints_usage_and_exits_two_writing_nothing(
+        self, argv, prog, message, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"usage: {prog} ")
+        assert err.splitlines()[-1].startswith(f"{prog}: error: {message}")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_lists_every_command_and_option(self, flag, capsys):
+        assert main([flag]) == EXIT_OK
+        text = capsys.readouterr().out
+        assert text.startswith("usage: bhvphylo [-h] [--version] {sample,")
+        assert all(f"\n  {command} " in text for command in COMMANDS)
+        for command, spec in COMMANDS.items():
+            # help is printed whatever follows it
+            assert main([command, flag, "--bogus", "--seed"]) == EXIT_OK
+            text = capsys.readouterr().out
+            assert text.startswith(f"usage: bhvphylo {command} [-h]")
+            assert all(name in text for name in list(spec.positionals) + list(spec.options))
+
+    def test_version(self, capsys):
+        assert main(["--version"]) == EXIT_OK
+        assert capsys.readouterr().out == f"{__version__}\n"
+
+    def test_main_calls_the_command_bound_to_the_module_name(self, monkeypatch):
+        # a profiler wraps `bhvphylo.cli.cmd_<command>` in place; main must
+        # call the wrapper, not a reference taken at import
+        calls = []
+
+        def recorder(name):
+            def record(args):
+                calls.append((name, args.samples))
+                return 17
+            return record
+
+        monkeypatch.setattr(cli, "cmd_consensus", recorder("consensus"))
+        monkeypatch.setattr(cli, "cmd_mean", recorder("mean"))
+        assert main(["consensus", "a.nwk"]) == 17
+        assert main(["mean", "--seed=2", "b.nwk"]) == 17
+        assert calls == [("consensus", "a.nwk"), ("mean", "b.nwk")]
