@@ -15,7 +15,11 @@ commands meet them:
 - topology: `tree_topology` on each tree, as every serialized sample and
   every likelihood plan miss builds it;
 - geodesic: `geodesic` on the pairs (iterate, input tree) that
-  `frechet.mean` and `frechet.median` meet in STEPS steps each;
+  `frechet.mean` and `frechet.median` meet in STEPS steps each, with the
+  layout memo emptied before each pass, so that a pass meets the pairs
+  as a command does rather than all of them as memo hits;
+  `layout_hit_rate` is the share of those geodesics whose layout the
+  memo held, each estimator starting from an empty memo as a command does;
 - max flow: `max_flow` on every network that reaches it (counted in
   `networks_per_geodesic`);
 - covers: `_min_cover` on every network those geodesics build, grouped
@@ -98,10 +102,13 @@ def posterior_like(n_taxa: int, trees: int, rng) -> list[Tree]:
     return out
 
 
-def per_call(call, items, repeats: int) -> float:
-    """Median over `repeats` passes of the seconds per call."""
+def per_call(call, items, repeats: int, reset=None) -> float:
+    """Median over `repeats` passes of the seconds per call; `reset`, when
+    given, runs untimed before each pass."""
     times = []
     for _ in range(repeats):
+        if reset is not None:
+            reset()
         start = time.perf_counter()
         for item in items:
             call(*item)
@@ -123,14 +130,18 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
         pairs.append((s, t))
         return real_geodesic(s, t)
 
+    layout = geodesic_module._layout
+    hits = 0
     frechet.geodesic = recording
     try:
         trees_read = [parse_newick(line, taxa=taxa) for line in lines]
-        frechet.mean(trees_read, EstimatorConfig(iterations=steps, seed=1))
-        frechet.median(trees_read, EstimatorConfig(iterations=steps, seed=2))
+        for estimator, seed in ((frechet.mean, 1), (frechet.median, 2)):
+            layout.cache_clear()
+            estimator(trees_read, EstimatorConfig(iterations=steps, seed=seed))
+            hits += layout.cache_info().hits
     finally:
         frechet.geodesic = real_geodesic
-    geodesic_s = per_call(geodesic, pairs, repeats)
+    geodesic_s = per_call(geodesic, pairs, repeats, reset=layout.cache_clear)
 
     networks = []
     covers = []
@@ -179,6 +190,7 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
         "max_flow_us": round(1e6 * max_flow_s, 2),
         "lines": len(lines),
         "geodesics": len(pairs),
+        "layout_hit_rate": round(hits / len(pairs), 3),
         "networks_per_geodesic": round(len(networks) / len(pairs), 3),
         "vertices_per_network": round(vertices / len(networks), 3) if networks else 0.0,
         "covers_per_geodesic": round(len(covers) / len(pairs), 3),

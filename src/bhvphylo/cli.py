@@ -214,8 +214,10 @@ def _print_estimate(args, estimator) -> int:
     config = _estimator_config(args)
     trees = _load_trees(args.samples)
     estimate = estimator(trees, config)
+    # a numerical failure in the variance must not leave a printed estimate
+    spread = variance(trees, estimate)
     print(serialize_newick(estimate))
-    print(f"# variance= {variance(trees, estimate):.17g}")
+    print(f"# variance= {spread:.17g}")
     return EXIT_OK
 
 

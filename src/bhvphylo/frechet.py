@@ -141,10 +141,10 @@ def _iterates(trees, cfg: EstimatorConfig, step_size) -> Iterator[Tree]:
         target = trees[pick]
         path = geodesic(current, target)
         dist = path.distance()
+        if not math.isfinite(dist):
+            raise ArithmeticError(f"step {i}: distance to input tree {pick} is {dist}")
         if dist > 0.0:
-            eta = step_size(i, dist)
-            assert 0.0 < eta <= 1.0
-            current = path.point(eta)
+            current = path.point(step_size(i, dist))
         yield current
         i += 1
 

@@ -26,10 +26,21 @@ side holds 9 or more splits.
 Both trees are over one taxon table, so conflicts are tested on the
 split masks directly: two masks normalized away from leaf 0 conflict
 exactly when they meet and neither contains the other.
+
+A geodesic is computed in two passes.  The layout holds everything that
+depends only on the two split sets: the common splits, the conflict
+rows and the components.  `_layout` keeps the last _LAYOUT_MEMO layouts
+in an `lru_cache`, keyed on the ordered pair (source split set, target
+split set), since the layout from s to t is not that from t to s; a
+proximal walk meets few distinct pairs, so most of its steps reuse one.
+The length pass reads both trees' lengths through the layout, refines
+each component and builds the path.  A layout holds no lengths and no
+tree and is never changed after it is built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -41,6 +52,8 @@ _REFINE_TOL = 1e-12
 # networks whose smaller side holds at most this many splits are solved by
 # enumeration; max flow runs only on larger ones
 _ENUM_MAX = 7
+# ordered pairs of split sets whose layouts are kept
+_LAYOUT_MEMO = 64
 
 
 @dataclass(frozen=True)
@@ -223,17 +236,19 @@ def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) 
     )
 
 
-def geodesic(s: Tree, t: Tree) -> GeodesicPath:
-    """Compute the geodesic path between two trees over the same taxa."""
-    if s.taxa != t.taxa:
-        raise ValueError("trees are over different taxon tables")
-    leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
+@functools.lru_cache(maxsize=_LAYOUT_MEMO)
+def _layout(s_splits: frozenset[Split], t_splits: frozenset[Split]) -> tuple[tuple, tuple]:
+    """The part of the geodesic from split set s_splits to t_splits that
+    holds no lengths: (common, components).
 
-    s_splits, t_splits = set(s.inner), set(t.inner)
+    `common` lists the common splits in sorted order.  Each component is
+    (A, B): the source splits with their conflict rows and the target
+    splits with their bits, components in order of the common split that
+    cuts them out.
+    """
     # a split is the tuple (bits, n_leaves), so these sort by mask
     s_only = sorted(s_splits - t_splits)
     t_only = sorted(t_splits - s_splits)
-    shared = sorted(s_splits & t_splits)
 
     # Splits of one tree compatible with everything on the other side do
     # not interact with the conflict: they travel as common edges whose
@@ -242,15 +257,15 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     t_hit = 0
     for row in rows:
         t_hit |= row
-    common = [(c, s.inner[c], t.inner[c]) for c in shared]
-    common += [(a, s.inner[a], 0.0) for a, row in zip(s_only, rows) if not row]
-    common += [(b, 0.0, t.inner[b]) for j, b in enumerate(t_only) if not t_hit >> j & 1]
+    common = list(s_splits & t_splits)
+    common += [a for a, row in zip(s_only, rows) if not row]
+    common += [b for j, b in enumerate(t_only) if not t_hit >> j & 1]
     common.sort()
 
     # The common splits form a laminar family that cuts the conflict into
     # independent components; every incompatibility stays inside one
     # component, so refinement runs per component.
-    cut_masks = sorted((c.bits for c, _, _ in common), key=int.bit_count)
+    cut_masks = sorted((c.bits for c in common), key=int.bit_count)
     cut_sizes = [mask.bit_count() for mask in cut_masks]
 
     def region(x: int) -> int:
@@ -264,17 +279,34 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     regions: dict[int, tuple[list, list]] = {}
     for a, row in zip(s_only, rows):
         if row:
-            regions.setdefault(region(a.bits), ([], []))[0].append((a, s.inner[a], row))
+            regions.setdefault(region(a.bits), ([], []))[0].append((a, row))
     for j, b in enumerate(t_only):
         if t_hit >> j & 1:
-            regions.setdefault(region(b.bits), ([], []))[1].append((b, t.inner[b], 1 << j))
+            regions.setdefault(region(b.bits), ([], []))[1].append((b, 1 << j))
+    components = []
+    for key in sorted(regions):
+        a_side, b_side = regions[key]
+        if not a_side or not b_side:
+            raise AssertionError("conflict component with an empty side")
+        components.append((tuple(a_side), tuple(b_side)))
+    return tuple(common), tuple(components)
+
+
+def geodesic(s: Tree, t: Tree) -> GeodesicPath:
+    """Compute the geodesic path between two trees over the same taxa."""
+    if s.taxa != t.taxa:
+        raise ValueError("trees are over different taxon tables")
+    leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
+    s_len, t_len = s.inner, t.inner
+    common, components = _layout(frozenset(s_len), frozenset(t_len))
 
     supports: list[SupportPair] = []
-    for key in sorted(regions):
-        a_items, b_items = regions[key]
-        if not a_items or not b_items:
-            raise AssertionError("conflict component with an empty side")
-        _refine(a_items, b_items, supports)
+    for a_side, b_side in components:
+        _refine(
+            [(a, s_len[a], row) for a, row in a_side],
+            [(b, t_len[b], bit) for b, bit in b_side],
+            supports,
+        )
     # A sides of distinct supports are disjoint, so their smallest masks
     # break ratio ties as the sorted lists of all their masks would
     supports.sort(key=lambda p: (p.ratio, min(sp.bits for sp in p.a_side)))
@@ -282,7 +314,8 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     return GeodesicPath(
         source=s,
         target=t,
-        common=tuple(common),
+        # a split absent from one tree has length zero there
+        common=tuple((c, s_len.get(c, 0.0), t_len.get(c, 0.0)) for c in common),
         supports=tuple(supports),
         leaf_deltas=leaf_deltas,
     )

@@ -445,6 +445,23 @@ class TestEstimators:
             assert main(["mean", str(path), "--seed", "1"]) == EXIT_INPUT
             assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["mean", "median", "compare"])
+    def test_overflowing_distances_exit_three_printing_nothing(
+        self, command, tmp_path, capsys
+    ):
+        # finite lengths that validate, but whose conflicting splits put
+        # the squared distance beyond the float range
+        path = tmp_path / "trees.nwk"
+        path.write_text(
+            "((A:0.1,B:0.2):1e200,C:0.3,O:0.1);\n"
+            "((A:0.1,C:0.2):1e200,B:0.3,O:0.1);\n"
+        )
+        rc = main([command, str(path), "--seed", "1", "--steps", "50"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure:" in err
+
     def test_path_through_a_regular_file_is_input_error(self, tmp_path, capsys):
         regular = tmp_path / "trees.nwk"
         regular.write_text("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);\n")

@@ -12,7 +12,7 @@ from bhvphylo.frechet import (
     median,
     variance,
 )
-from bhvphylo.geodesic import distance, interpolate
+from bhvphylo.geodesic import GeodesicPath, distance, interpolate
 from bhvphylo.treespace import Tree
 
 from conftest import make_taxa, random_tree, spider_tree, split_of
@@ -188,9 +188,17 @@ class TestMean:
             for early, late in zip(tail, tail[1:]):
                 assert late <= early + 1e-6
 
-    def test_step_sizes_in_unit_interval(self, rng):
-        # the iteration asserts 0 < eta <= 1 internally; drive it on a
+    def test_step_sizes_in_unit_interval(self, monkeypatch):
+        # every step the walk takes lies in (0, 1]; driven on a
         # mixed-orthant input to exercise both estimators' schedules
+        steps = []
+        real_point = GeodesicPath.point
+
+        def recording(path, lam):
+            steps.append(lam)
+            return real_point(path, lam)
+
+        monkeypatch.setattr(GeodesicPath, "point", recording)
         trees = [
             spider_tree({1, 2}, 0.5),
             spider_tree({1, 3}, 0.25),
@@ -198,6 +206,16 @@ class TestMean:
         ]
         mean(trees, EstimatorConfig(iterations=500, seed=8))
         median(trees, EstimatorConfig(iterations=500, seed=8))
+        assert len(steps) > 500
+        assert all(0.0 < lam <= 1.0 for lam in steps)
+
+    @pytest.mark.parametrize("estimator", [mean, median])
+    def test_overflowing_distance_is_arithmetic_error(self, estimator):
+        # the lengths are finite, the squared distance between the
+        # conflicting splits is not
+        trees = [spider_tree({1, 2}, 1e200), spider_tree({1, 3}, 1e200)]
+        with pytest.raises(ArithmeticError, match="distance to input tree 1 is inf"):
+            estimator(trees, EstimatorConfig(iterations=10, seed=1))
 
     def test_early_stop_tolerance(self, rng):
         trees, _ = single_orthant_set(rng, count=5)

@@ -5,6 +5,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bhvphylo
 from bhvphylo import frechet
@@ -21,7 +23,7 @@ from bhvphylo.geodesic import (
 )
 from bhvphylo.maxflow import FlowNetwork, max_flow
 from bhvphylo.mcmc import nni_neighbors
-from bhvphylo.treespace import Tree, validate
+from bhvphylo.treespace import Tree, random_binary_splits, serialize_newick, validate
 
 from conftest import assert_same_path, make_taxa, random_tree, spider_tree, split_of
 from oracles import (
@@ -638,3 +640,80 @@ class TestRefineThresholdTies:
                 path = geodesic(permuted(s, rng), permuted(t, rng))
                 assert path == want
                 assert_same_path(path, want)
+
+
+# ---------------------------------------------------------------------------
+# The layout memo: topology kept per ordered pair of split sets, lengths not
+
+MEMO_LENGTHS = st.one_of(
+    st.sampled_from((0.1, 0.2, 0.3, 0.6)),
+    st.floats(0.01, 1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def split_set_pairs(draw):
+    """(taxa, source splits, target splits, complete) on 8-12 leaves:
+    random binary topologies with some splits contracted, or the two
+    caterpillars of complete_conflict_pair, whose one component needs a
+    cover."""
+    n = draw(st.integers(8, 12))
+    if draw(st.booleans()):
+        s, t = complete_conflict_pair(n, 0.1, 0.1)
+        return s.taxa, sorted(s.inner), sorted(t.inner), True
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sides = []
+    for _ in range(2):
+        splits = sorted(random_binary_splits(n, rng))
+        kept = draw(st.lists(st.sampled_from((True, True, True, False)),
+                             min_size=len(splits), max_size=len(splits)))
+        sides.append([split for split, keep in zip(splits, kept) if keep])
+    return make_taxa(n), sides[0], sides[1], False
+
+
+class TestLayoutMemo:
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(split_set_pairs(), st.data())
+    def test_memo_hit_matches_reference(self, pair, data):
+        taxa, s_splits, t_splits, complete = pair
+
+        def drawn(splits):
+            leaves = tuple(data.draw(MEMO_LENGTHS) for _ in range(taxa.size))
+            return Tree(taxa, leaves, {split: data.draw(MEMO_LENGTHS) for split in splits})
+
+        layout = geodesic_module._layout
+        for first, second in ((s_splits, t_splits), (t_splits, s_splits)):
+            layout.cache_clear()
+            s, t = drawn(first), drawn(second)
+            assert_same_path(geodesic(s, t), reference_geodesic(s, t))
+            assert layout.cache_info()[:2] == (0, 1)
+            # the same split sets with new lengths take the stored layout
+            s, t = drawn(first), drawn(second)
+            assert_same_path(geodesic(s, t), reference_geodesic(s, t))
+            assert layout.cache_info()[:2] == (1, 1)
+            if complete:
+                _, components = layout(frozenset(s.inner), frozenset(t.inner))
+                assert any(len(a) > 1 and len(b) > 1 for a, b in components)
+
+    def test_warm_and_cold_memo_give_the_same_estimates(self, rng):
+        taxa = make_taxa(8)
+        trees = posterior_like_set(taxa, rng)
+        # the same topologies with other lengths, and other topologies
+        others = [jittered(tree, rng) for tree in trees] + posterior_like_set(taxa, rng)
+        assert len({frozenset(tree.inner) for tree in trees}) > 1
+        layout = geodesic_module._layout
+        results, hits = [], []
+        for warm in (False, True):
+            layout.cache_clear()
+            if warm:
+                frechet.mean(others, EstimatorConfig(iterations=300, seed=5))
+                frechet.median(others, EstimatorConfig(iterations=300, seed=6))
+            before = layout.cache_info().hits
+            results.append([
+                serialize_newick(frechet.mean(trees, EstimatorConfig(iterations=300, seed=1))),
+                serialize_newick(frechet.median(trees, EstimatorConfig(iterations=300, seed=2))),
+            ])
+            hits.append(layout.cache_info().hits - before)
+        assert results[0] == results[1]
+        # some layouts stored for the other set served this one
+        assert hits[1] > hits[0] > 0
