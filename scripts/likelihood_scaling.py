@@ -35,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -63,15 +64,15 @@ def synthetic(n_taxa: int, n_columns: int, rng) -> tuple[Tree, Alignment]:
     taxa = TaxonTable(tuple(f"t{i:02d}" for i in range(n_taxa)))
     columns = []
     for _ in range(n_columns):
-        base = int(rng.integers(5))
+        base = rng.randrange(5)
         columns.append(tuple(
-            base if rng.uniform() < SHARED else int(rng.integers(5)) for _ in range(n_taxa)
+            base if rng.random() < SHARED else rng.randrange(5) for _ in range(n_taxa)
         ))
     splits = sorted(random_binary_splits(n_taxa, rng))
     tree = Tree(
         taxa,
-        tuple(float(x) for x in rng.uniform(0.02, 0.3, n_taxa)),
-        {s: float(rng.uniform(0.02, 0.3)) for s in splits},
+        tuple(rng.uniform(0.02, 0.3) for _ in range(n_taxa)),
+        {s: rng.uniform(0.02, 0.3) for s in splits},
     )
     return tree, Alignment.from_columns(taxa, columns)
 
@@ -143,7 +144,7 @@ def main(argv=None) -> int:
         columns *= len(taxa)
     if len(columns) != len(taxa):
         parser.error("--columns takes one count or one per taxon count")
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     rows = []
     for n_taxa, n_columns in zip(taxa, columns):
         rows.append(measure(n_taxa, n_columns, args.repeats, args.steps, rng))

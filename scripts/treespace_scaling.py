@@ -37,8 +37,10 @@ costs.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform
+import random
 import statistics
 import sys
 import time
@@ -78,8 +80,8 @@ ENUM_TIMED = 10
 def nni_walk(tree: Tree, moves: int, rng) -> Tree:
     for _ in range(moves):
         edges = sorted(tree.inner)
-        edge = edges[int(rng.integers(len(edges)))]
-        tree = nni_neighbors(tree, edge)[int(rng.integers(2))]
+        edge = edges[rng.randrange(len(edges))]
+        tree = nni_neighbors(tree, edge)[rng.randrange(2)]
     return tree
 
 
@@ -87,17 +89,17 @@ def posterior_like(n_taxa: int, trees: int, rng) -> list[Tree]:
     taxa = TaxonTable(tuple(f"t{i:02d}" for i in range(n_taxa)))
     backbone = Tree(
         taxa,
-        tuple(float(x) for x in rng.gamma(2.0, 0.05, n_taxa) + 0.01),
-        {s: float(rng.gamma(2.0, 0.05)) + 0.01 for s in sorted(random_binary_splits(n_taxa, rng))},
+        tuple(rng.gammavariate(2.0, 0.05) + 0.01 for _ in range(n_taxa)),
+        {s: rng.gammavariate(2.0, 0.05) + 0.01 for s in sorted(random_binary_splits(n_taxa, rng))},
     )
     dominants = [backbone] + [nni_walk(backbone, MODE_MOVES, rng) for _ in range(DOMINANTS - 1)]
     out = []
     for k in range(trees):
-        tree = nni_walk(dominants[k % DOMINANTS], int(rng.integers(0, TAIL_MOVES + 1)), rng)
+        tree = nni_walk(dominants[k % DOMINANTS], rng.randrange(TAIL_MOVES + 1), rng)
         out.append(Tree(
             taxa,
-            tuple(l * float(np.exp(rng.normal(0.0, JITTER))) for l in tree.leaf_lengths),
-            {s: l * float(np.exp(rng.normal(0.0, JITTER))) for s, l in tree.inner.items()},
+            tuple(l * math.exp(rng.gauss(0.0, JITTER)) for l in tree.leaf_lengths),
+            {s: l * math.exp(rng.gauss(0.0, JITTER)) for s, l in tree.inner.items()},
         ))
     return out
 
@@ -199,7 +201,7 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
 
 
 def main() -> int:
-    rng = np.random.default_rng(SEED)
+    rng = random.Random(SEED)
     rows = []
     for n_taxa in TAXA:
         rows.append(measure(n_taxa, TREES, STEPS, REPEATS, rng))

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
+import platform
+import random
 import sys
 import warnings
 from types import SimpleNamespace
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import __version__
 from .frechet import EstimatorConfig, mean, median, variance
@@ -173,6 +174,7 @@ def cmd_sample(args) -> int:
             "outgroup": alignment.taxa.names[0],
         },
         "chain_seeds": [args.seed + c for c in range(args.chains)],
+        "python": platform.python_version(),
     }
 
     _write_lines(f"{args.out}.samples", sample_lines)
@@ -271,7 +273,7 @@ def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise InputError(f"seed must be a nonnegative integer, got {args.seed!r}")
     tree = _read_tree_arg(args.tree, outgroup=args.outgroup)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     root = tree_topology(tree)
     names = tree.taxa.names
     sequences = {name: [] for name in names}
@@ -279,8 +281,8 @@ def cmd_simulate(args) -> int:
     def evolve(node, parent_state, theta):
         if node.length is None:
             state = parent_state
-        elif rng.uniform() < mutation_prob(node.length):
-            state = int(rng.choice(N_SYMBOLS, p=theta))
+        elif rng.random() < mutation_prob(node.length):
+            state = rng.choices(range(N_SYMBOLS), theta)[0]
         else:
             state = parent_state
         if node.is_leaf():
@@ -289,9 +291,15 @@ def cmd_simulate(args) -> int:
             evolve(child, state, theta)
 
     for _ in range(args.columns):
-        theta = rng.dirichlet(alpha)
-        root_state = int(rng.choice(N_SYMBOLS, p=theta))
-        evolve(root, root_state, theta)
+        # Dirichlet weights from Gamma(a) draws, taken in logs as
+        # Gamma(a + 1) * U**(1/a) so that small pseudocounts cannot underflow
+        logs = [
+            math.log(rng.gammavariate(a + 1.0, 1.0)) + math.log(1.0 - rng.random()) / a
+            for a in alpha
+        ]
+        peak = max(logs)
+        theta = [math.exp(x - peak) for x in logs]
+        evolve(root, rng.choices(range(N_SYMBOLS), theta)[0], theta)
 
     lines = []
     for name in names:

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .maxflow import FlowNetwork, max_flow
 from .treespace import Split, Tree
@@ -72,17 +72,26 @@ class SupportPair:
 
 @dataclass(frozen=True)
 class GeodesicPath:
+    """A geodesic of finite length; building one whose squared length
+    overflows raises ArithmeticError, so no caller walks or measures it."""
+
     source: Tree
     target: Tree
     common: tuple[tuple[Split, float, float], ...]
     supports: tuple[SupportPair, ...]
     leaf_deltas: tuple[float, ...]
+    _distance: float = field(init=False, repr=False, compare=False)
 
-    def distance(self) -> float:
+    def __post_init__(self):
         total = sum((p.a_norm + p.b_norm) ** 2 for p in self.supports)
         total += sum((ls - lt) ** 2 for _, ls, lt in self.common)
         total += sum(d * d for d in self.leaf_deltas)
-        return math.sqrt(total)
+        if not math.isfinite(total):
+            raise ArithmeticError(f"the squared geodesic distance is {total}")
+        object.__setattr__(self, "_distance", math.sqrt(total))
+
+    def distance(self) -> float:
+        return self._distance
 
     def point(self, lam: float) -> Tree:
         """The tree at parameter lam in [0,1]; endpoints are returned exactly."""

@@ -6,9 +6,9 @@ current one, reflected at zero), otherwise a nearest-neighbor
 interchange that swaps one inner edge for one of the two alternative
 quartet resolutions at the same length.  Both moves have unit Hastings
 ratio, so acceptance only compares unnormalized log posteriors.  The
-chain loop owns the random generator and passes it to each step, so a
-`ChainState` is a snapshot.  Chains are independent and fully
-deterministic given their seeds.
+chain loop owns a `random.Random(seed)`, the package's one generator,
+and passes it to each step, so a `ChainState` is a snapshot.  Chains
+are independent and fully deterministic given their seeds.
 
 Every state is a binary tree: the posterior's mass lies on the binary,
 top-dimensional orthants, and neither move changes the number of inner
@@ -18,10 +18,9 @@ splits, so `run_chain` rejects a start with fewer.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .phylo_model import Alignment, DirichletPrior, GammaPrior, log_posterior
 from .treespace import (
@@ -131,33 +130,31 @@ def nni_neighbors(tree: Tree, edge: Split) -> tuple[Tree, Tree]:
     return tree.with_split_replaced(edge, first), tree.with_split_replaced(edge, second)
 
 
-def _length_move(tree: Tree, rng, sigma: float) -> Tree:
+def _length_move(tree: Tree, rng: random.Random, sigma: float) -> Tree:
     splits = sorted(tree.inner)
     n_edges = tree.taxa.size + len(splits)
-    pick = int(rng.integers(n_edges))
+    pick = rng.randrange(n_edges)
     if pick < tree.taxa.size:
-        length = abs(rng.normal(tree.leaf_lengths[pick], sigma))
-        return tree.with_leaf_length(pick, float(length))
+        return tree.with_leaf_length(pick, abs(rng.gauss(tree.leaf_lengths[pick], sigma)))
     split = splits[pick - tree.taxa.size]
-    length = abs(rng.normal(tree.inner[split], sigma))
-    return tree.with_inner_length(split, float(length))
+    return tree.with_inner_length(split, abs(rng.gauss(tree.inner[split], sigma)))
 
 
-def propose(tree: Tree, rng: np.random.Generator, cfg: ProposalConfig) -> tuple[Tree, str]:
+def propose(tree: Tree, rng: random.Random, cfg: ProposalConfig) -> tuple[Tree, str]:
     """Draw a candidate tree; returns (candidate, move kind).
 
     Both moves are symmetric, so acceptance needs no proposal ratio.
     """
-    if rng.uniform() < cfg.tau:
+    if rng.random() < cfg.tau:
         return _length_move(tree, rng, cfg.sigma), LENGTH_MOVE
     splits = sorted(tree.inner)
-    edge = splits[int(rng.integers(len(splits)))]
-    return nni_neighbors(tree, edge)[int(rng.integers(2))], NNI_MOVE
+    edge = splits[rng.randrange(len(splits))]
+    return nni_neighbors(tree, edge)[rng.randrange(2)], NNI_MOVE
 
 
 def mh_step(
     state: ChainState,
-    rng: np.random.Generator,
+    rng: random.Random,
     cfg: ProposalConfig,
     log_target: Callable[[Tree], float],
 ) -> tuple[ChainState, TraceRow]:
@@ -172,23 +169,20 @@ def mh_step(
     if log_ratio >= 0.0:
         accepted = True
     else:
-        u = rng.uniform()  # exactly 0.0 with probability 2**-53: log 0 = -inf
+        u = rng.random()  # exactly 0.0 with probability 2**-53: log 0 = -inf
         accepted = (math.log(u) if u > 0.0 else -math.inf) < log_ratio
     if accepted:
         state = ChainState(candidate, candidate_post)
     return state, TraceRow(state.log_post, accepted, move)
 
 
-def initial_tree(alignment: Alignment, run: RunConfig, rng: np.random.Generator) -> Tree:
+def initial_tree(alignment: Alignment, run: RunConfig, rng: random.Random) -> Tree:
     """Random chain start: uniform random binary topology, prior-drawn lengths."""
     n_leaves = alignment.taxa.size
     splits = random_binary_splits(n_leaves, rng)
-    leaf_lengths = tuple(
-        float(rng.gamma(run.gamma.shape, run.gamma.scale)) for _ in range(n_leaves)
-    )
-    inner = {
-        s: float(rng.gamma(run.gamma.shape, run.gamma.scale)) for s in sorted(splits)
-    }
+    shape, scale = run.gamma.shape, run.gamma.scale
+    leaf_lengths = tuple(rng.gammavariate(shape, scale) for _ in range(n_leaves))
+    inner = {s: rng.gammavariate(shape, scale) for s in sorted(splits)}
     return check(Tree(alignment.taxa, leaf_lengths, inner))
 
 
@@ -208,7 +202,7 @@ def run_chain(
     if log_target is None:
         def log_target(tree):
             return log_posterior(tree, alignment, run.dirichlet, run.gamma)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     tree = initial_tree(alignment, run, rng) if initial is None else initial
     state = ChainState(tree, log_target(tree))
     kept = kept_iterations(run)

@@ -504,7 +504,7 @@ def random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
     center = n_leaves
     edges = {(0, center): (0b110, center), (1, center): (0b10, 1), (2, center): (0b100, 2)}
     for leaf in range(3, n_leaves):
-        key = sorted(edges)[int(rng.integers(len(edges)))]
+        key = sorted(edges)[rng.randrange(len(edges))]
         clade, lower = edges.pop(key)
         bit = 1 << leaf
         # the new leaf joins every clade that contains the subdivided edge

@@ -6,6 +6,7 @@ check it against the oracles in oracles.py.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def make_taxa(n_leaves: int) -> TaxonTable:
 
 def random_tree(
     taxa: TaxonTable,
-    rng: np.random.Generator,
+    rng: random.Random,
     drop_probability: float = 0.0,
     low: float = 0.05,
     high: float = 1.0,
@@ -42,15 +43,20 @@ def random_tree(
     splits = sorted(random_binary_splits(taxa.size, rng))
     inner = {}
     for split in splits:
-        if drop_probability == 0.0 or rng.uniform() >= drop_probability:
-            inner[split] = float(rng.uniform(low, high))
-    leaf_lengths = tuple(float(x) for x in rng.uniform(low, high, taxa.size))
+        if drop_probability == 0.0 or rng.random() >= drop_probability:
+            inner[split] = rng.uniform(low, high)
+    leaf_lengths = tuple(rng.uniform(low, high) for _ in range(taxa.size))
     return Tree(taxa, leaf_lengths, inner)
+
+
+def dirichlet_draws(rng: random.Random, alpha, size=None):
+    """numpy's vectorized Dirichlet draws, from a generator seeded by `rng`."""
+    return np.random.default_rng(rng.getrandbits(64)).dirichlet(alpha, size)
 
 
 @pytest.fixture
 def rng():
-    return np.random.default_rng(20240811)
+    return random.Random(20240811)
 
 
 def spider_tree(ray: set, length: float, n_leaves: int = 4, leaf_length: float = 0.1):

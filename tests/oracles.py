@@ -939,7 +939,7 @@ def reference_random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
     next_vertex = n_leaves + 1
     for leaf in range(3, n_leaves):
         edges = _edges_of(adj)
-        v, w = edges[int(rng.integers(len(edges)))]
+        v, w = edges[rng.randrange(len(edges))]
         adj[v].discard(w)
         adj[w].discard(v)
         mid = next_vertex

@@ -3,11 +3,12 @@ import io
 import json
 import math
 import os
+import platform
+import random
 import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -95,10 +96,10 @@ class TestImport:
         assert result.stdout.strip() == "False"
 
     def test_estimators_and_summaries_leave_numpy_random_unloaded(self, tmp_path):
-        # numpy.random is 16 modules that only the sampler and `simulate`
-        # draw from; the check right after import keeps its cost out of
-        # the start-up of every command.  No command parses its arguments
-        # with argparse, whose messages import gettext and locale.
+        # every draw comes from the standard library's `random`, so none
+        # of the nine commands loads the 16 modules of numpy.random.  No
+        # command parses its arguments with argparse, whose messages
+        # import gettext and locale.
         samples = tmp_path / "trees.nwk"
         samples.write_text(
             DEMO_TREE + "\n"
@@ -124,6 +125,8 @@ class TestImport:
             "             ['simulate', tree, '--columns', '20', '--seed', '1', '--out', fasta],\n"
             "             ['sample', fasta, '--out', run, '--seed', '1', '--iters', '10', '--burnin', '2']):\n"
             "    assert bhvphylo.cli.main(argv) == 0\n"
+            "    if 'numpy.random' in sys.modules:\n"
+            "        loaded.append(argv[0])\n"
             "    if parsing():\n"
             "        parsed.append(argv[0])\n"
             "print('parsed', parsed, file=sys.stderr)\n"
@@ -162,6 +165,16 @@ class TestSimulate:
             )
             assert rc == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
+
+    def test_tiny_alpha_draws_an_alignment(self, tmp_path):
+        # Gamma(0.001) draws underflow to zero unless taken in logs
+        out = tmp_path / "tiny.fasta"
+        argv = ["simulate", DEMO_TREE, "--columns", "40", "--seed", "3",
+                "--alpha", "0.001", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        records = cli.read_fasta(out)
+        assert len(records) == 5
+        assert all(len(seq) == 40 for _, seq in records)
 
     def test_negative_columns_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "neg.fasta"
@@ -209,6 +222,7 @@ class TestSample:
         manifest = json.loads((tmp_path / "run.manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 3
         assert manifest["taxa"][0] == "O"
+        assert manifest["python"] == platform.python_version()
 
     def test_reproducible_byte_for_byte(self, tmp_path, demo_fasta):
         args = [
@@ -306,12 +320,12 @@ class TestSample:
     def test_64_taxa_long_branches_finite_or_exit_three(self, tmp_path):
         # four columns with a 70% shared base and one all-gap column; gamma
         # scale 3 draws a start tree with long branches
-        rng = np.random.default_rng(64)
-        base = rng.integers(0, 4, 4)
+        rng = random.Random(64)
+        base = [rng.randrange(4) for _ in range(4)]
         rows = []
         for taxon in range(64):
             shared = "".join(
-                "ACGT"[b] if rng.uniform() < 0.7 else "ACGT-"[rng.integers(5)]
+                "ACGT"[b] if rng.random() < 0.7 else "ACGT-"[rng.randrange(5)]
                 for b in base
             )
             rows.append((f"t{taxon:02d}", shared + "-"))
@@ -574,6 +588,22 @@ class TestGeometryCommands:
     def test_bad_newick_is_input_error(self, capsys):
         rc = main(["distance", "((A:0.1,B:0.2):0.05;", DEMO_TREE])
         assert rc == EXIT_INPUT
+
+    @pytest.mark.parametrize(
+        "command,extra", [("distance", []), ("interpolate", ["--lambda", "0.3"])]
+    )
+    def test_overflowing_distance_exits_three_printing_nothing(
+        self, command, extra, capsys
+    ):
+        # the lengths validate, the squared distance between the
+        # conflicting splits does not fit a float
+        a = "((A:0.1,B:0.2):1e200,C:0.3,O:0.1);"
+        b = "((A:0.1,C:0.2):1e200,B:0.3,O:0.1);"
+        rc = main([command, a, b, *extra])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure:" in err
 
     def test_deeply_nested_newick_is_input_error(self, tmp_path, capsys):
         # an 1100-leaf caterpillar, deeper than the default recursion limit

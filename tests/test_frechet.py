@@ -1,13 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from bhvphylo.frechet import (
     EstimatorConfig,
-    _draw,
     _iterates,
-    _uint32_stream,
     mean,
     median,
     variance,
@@ -29,8 +28,8 @@ def single_orthant_set(rng, count=30, low=0.05, high=0.3):
     splits = sorted(random_tree(taxa, rng).inner)
     trees = []
     for _ in range(count):
-        leaf = tuple(float(x) for x in rng.uniform(low, high, taxa.size))
-        inner = {s: float(rng.uniform(low, high)) for s in splits}
+        leaf = tuple(rng.uniform(low, high) for _ in range(taxa.size))
+        inner = {s: rng.uniform(low, high) for s in splits}
         trees.append(Tree(taxa, leaf, inner))
     return trees, splits
 
@@ -57,30 +56,6 @@ class TestConfig:
     def test_rejects_a_seed_that_is_not_a_nonnegative_integer(self, seed):
         with pytest.raises(ValueError, match=f"seed must be a nonnegative integer, got {seed!r}"):
             EstimatorConfig(seed=seed)
-
-
-SEEDS = [0, 2**32, 2**64, 2**200 + 0x5EED]
-
-
-class TestPickStream:
-    """The random visiting order is numpy's `default_rng(seed).integers(n)`."""
-
-    # 3 * 2**30 rejects about a quarter of its first draws
-    @pytest.mark.parametrize("n", [1, 2, 30, 2**31, 3 * 2**30, 2**32 - 1, 2**32])
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_matches_numpy_draw_for_draw(self, seed, n):
-        expected = np.random.default_rng(seed)
-        words = _uint32_stream(seed)
-        assert [_draw(words, n) for _ in range(300)] == [
-            int(expected.integers(n)) for _ in range(300)
-        ]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_mixed_bounds_share_one_stream(self, seed):
-        bounds = [1, 2, 30, 1, 2**31, 3 * 2**30, 2**32 - 1, 2**32, 7, 1, 1] * 30
-        expected = np.random.default_rng(seed)
-        words = _uint32_stream(seed)
-        assert [_draw(words, n) for n in bounds] == [int(expected.integers(n)) for n in bounds]
 
 
 class TestMedian:
@@ -155,7 +130,9 @@ class TestMean:
     def test_two_ray_spider_closed_form(self):
         a = spider_tree({1, 2}, 0.8)
         b = spider_tree({1, 3}, 0.2)
-        result = mean([a, b], EstimatorConfig(seed=1))
+        # the cyclic walk misses the closed form by O(1/steps), 3e-4 here;
+        # a random order adds a sampling error of about 0.011 at 2000 steps
+        result = mean([a, b], EstimatorConfig(order="cyclic", seed=1))
         split = split_of({1, 2}, 4)
         assert set(result.inner) == {split}
         assert result.inner[split] == pytest.approx(0.3, abs=1e-2)
@@ -163,11 +140,11 @@ class TestMean:
     def test_spider_matches_one_dimensional_oracle(self, rng):
         # random two-ray configurations, solved in closed form on the line
         for _ in range(5):
-            la = float(rng.uniform(0.3, 1.0))
-            lb = float(rng.uniform(0.05, la - 0.2))
+            la = rng.uniform(0.3, 1.0)
+            lb = rng.uniform(0.05, la - 0.2)
             a = spider_tree({1, 2}, la)
             b = spider_tree({1, 3}, lb)
-            result = mean([a, b], EstimatorConfig(seed=6))
+            result = mean([a, b], EstimatorConfig(order="cyclic", seed=6))
             want = (la - lb) / 2
             assert result.inner[split_of({1, 2}, 4)] == pytest.approx(want, abs=1e-2)
 
@@ -214,7 +191,7 @@ class TestMean:
         # the lengths are finite, the squared distance between the
         # conflicting splits is not
         trees = [spider_tree({1, 2}, 1e200), spider_tree({1, 3}, 1e200)]
-        with pytest.raises(ArithmeticError, match="distance to input tree 1 is inf"):
+        with pytest.raises(ArithmeticError, match="squared geodesic distance is inf"):
             estimator(trees, EstimatorConfig(iterations=10, seed=1))
 
     def test_early_stop_tolerance(self, rng):

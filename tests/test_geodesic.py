@@ -1,9 +1,9 @@
 import functools
 import itertools
 import math
+import random
 import sys
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,7 +84,7 @@ class TestDistance:
 
     def test_matches_oracle_on_random_pairs(self, rng):
         for _ in range(150):
-            taxa = make_taxa(int(rng.integers(4, 7)))
+            taxa = make_taxa(rng.randrange(4, 7))
             s = random_tree(taxa, rng, drop_probability=0.25)
             t = random_tree(taxa, rng, drop_probability=0.25)
             assert distance(s, t) == pytest.approx(
@@ -102,7 +102,7 @@ class TestDistance:
 
     def test_metric_axioms(self, rng):
         for _ in range(40):
-            taxa = make_taxa(int(rng.integers(4, 8)))
+            taxa = make_taxa(rng.randrange(4, 8))
             x = random_tree(taxa, rng, drop_probability=0.2)
             y = random_tree(taxa, rng, drop_probability=0.2)
             z = random_tree(taxa, rng, drop_probability=0.2)
@@ -112,7 +112,7 @@ class TestDistance:
 
     def test_bounds(self, rng):
         for _ in range(60):
-            taxa = make_taxa(int(rng.integers(4, 8)))
+            taxa = make_taxa(rng.randrange(4, 8))
             s = random_tree(taxa, rng, drop_probability=0.2)
             t = random_tree(taxa, rng, drop_probability=0.2)
             shared = set(s.inner) & set(t.inner)
@@ -131,7 +131,7 @@ class TestDistance:
 
     def test_cat0_midpoint_inequality(self, rng):
         for _ in range(80):
-            taxa = make_taxa(int(rng.integers(4, 7)))
+            taxa = make_taxa(rng.randrange(4, 7))
             x = random_tree(taxa, rng, drop_probability=0.2)
             y = random_tree(taxa, rng, drop_probability=0.2)
             z = random_tree(taxa, rng, drop_probability=0.2)
@@ -148,7 +148,7 @@ class TestDistance:
 class TestGeodesicStructure:
     def test_ratios_nondecreasing_and_support_partitions(self, rng):
         for _ in range(60):
-            taxa = make_taxa(int(rng.integers(5, 8)))
+            taxa = make_taxa(rng.randrange(5, 8))
             s = random_tree(taxa, rng, drop_probability=0.2)
             t = random_tree(taxa, rng, drop_probability=0.2)
             path = geodesic(s, t)
@@ -205,7 +205,7 @@ class TestInterpolate:
 
     def test_distance_contract(self, rng):
         for _ in range(40):
-            taxa = make_taxa(int(rng.integers(4, 7)))
+            taxa = make_taxa(rng.randrange(4, 7))
             s = random_tree(taxa, rng, drop_probability=0.2)
             t = random_tree(taxa, rng, drop_probability=0.2)
             d = distance(s, t)
@@ -217,7 +217,7 @@ class TestInterpolate:
 
     def test_reparametrization(self, rng):
         for _ in range(20):
-            taxa = make_taxa(int(rng.integers(4, 7)))
+            taxa = make_taxa(rng.randrange(4, 7))
             s = random_tree(taxa, rng, drop_probability=0.2)
             t = random_tree(taxa, rng, drop_probability=0.2)
             d = distance(s, t)
@@ -247,16 +247,16 @@ class TestInterpolate:
 def jittered(tree, rng, spread=0.25):
     return Tree(
         tree.taxa,
-        tuple(l * float(np.exp(rng.normal(0.0, spread))) for l in tree.leaf_lengths),
-        {s: l * float(np.exp(rng.normal(0.0, spread))) for s, l in tree.inner.items()},
+        tuple(l * math.exp(rng.gauss(0.0, spread)) for l in tree.leaf_lengths),
+        {s: l * math.exp(rng.gauss(0.0, spread)) for s, l in tree.inner.items()},
     )
 
 
 def nni_walk(tree, moves, rng):
     for _ in range(moves):
         edges = sorted(tree.inner)
-        edge = edges[int(rng.integers(len(edges)))]
-        tree = nni_neighbors(tree, edge)[int(rng.integers(2))]
+        edge = edges[rng.randrange(len(edges))]
+        tree = nni_neighbors(tree, edge)[rng.randrange(2)]
     return tree
 
 
@@ -271,7 +271,7 @@ def posterior_like_set(taxa, rng, trees=12):
     out = []
     for k in range(trees):
         base = dominants[k % len(dominants)]
-        out.append(jittered(nni_walk(base, int(rng.integers(0, 4)), rng), rng))
+        out.append(jittered(nni_walk(base, rng.randrange(4), rng), rng))
     return out
 
 
@@ -381,8 +381,8 @@ class TestOneSplitSide:
         taxa = make_taxa(16)
         for trial in range(40):
             splits = sorted(random_tree(taxa, rng).inner)
-            k = int(rng.integers(1, 6))
-            pairs = [(sp, float(rng.uniform(0.05, 1.0))) for sp in splits[: k + 1]]
+            k = rng.randrange(1, 6)
+            pairs = [(sp, rng.uniform(0.05, 1.0)) for sp in splits[: k + 1]]
             one, many = pairs[:1], pairs[1:]
             a_pairs, b_pairs = (one, many) if trial % 2 else (many, one)
             rows = _conflict_rows([a.bits for a, _ in a_pairs], [b.bits for b, _ in b_pairs])
@@ -398,10 +398,10 @@ class TestOneSplitSide:
         # a pair splits only on a minimum cover whose four parts -- A in
         # and out of the cover, B out of and in it -- are all nonempty
         for trial in range(60):
-            k = int(rng.integers(1, 6))
-            lengths = rng.uniform(0.05, 1.0, k)
-            many = tuple(float(l * l / (lengths**2).sum()) for l in lengths)
-            edges = [(0, j) for j in range(k) if trial % 3 == 0 or rng.uniform() < 0.6]
+            k = rng.randrange(1, 6)
+            lengths = [rng.uniform(0.05, 1.0) for _ in range(k)]
+            many = tuple(l * l / sum(x * x for x in lengths) for l in lengths)
+            edges = [(0, j) for j in range(k) if trial % 3 == 0 or rng.random() < 0.6]
             if trial % 2:
                 a_weights, b_weights = (1.0,), many
             else:
@@ -444,26 +444,26 @@ def cover_networks(rng, trials):
     kinds = ("continuous", "dyadic", "equal", "zeros")
     for trial in range(trials):
         small = 1 + trial // 8 % _ENUM_MAX
-        large = small + int(rng.integers(0, 4))
+        large = small + rng.randrange(4)
         na, nb = (small, large) if trial % 2 else (large, small)
         kind = kinds[trial // 2 % 4]
 
         def draw(count):
             if kind == "dyadic":
-                return [float(x) for x in rng.integers(0, 5, count) / 8]
+                return [rng.randrange(5) / 8 for _ in range(count)]
             if kind == "equal":
-                return [float(rng.uniform(0.01, 1.0))] * count
-            weights = [float(x) for x in rng.uniform(0.01, 1.0, count)]
+                return [rng.uniform(0.01, 1.0)] * count
+            weights = [rng.uniform(0.01, 1.0) for _ in range(count)]
             if kind == "zeros":
-                weights = [0.0 if rng.uniform() < 0.3 else w for w in weights]
+                weights = [0.0 if rng.random() < 0.3 else w for w in weights]
             return weights
 
         density = rng.uniform(0.2, 0.9)
-        rows = [sum(1 << j for j in range(nb) if rng.uniform() < density) for _ in range(na)]
-        if rng.uniform() < 0.3:
-            rows[int(rng.integers(na))] = 0
-        if rng.uniform() < 0.3:
-            rows = [row & ~(1 << int(rng.integers(nb))) for row in rows]
+        rows = [sum(1 << j for j in range(nb) if rng.random() < density) for _ in range(na)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(na)] = 0
+        if rng.random() < 0.3:
+            rows = [row & ~(1 << rng.randrange(nb)) for row in rows]
         yield kind, draw(na), draw(nb), rows
 
 
@@ -559,15 +559,15 @@ def proportional_matchings(rng):
     pairs = []
     for k in range(2, 7):
         for _ in range(12):
-            a_lengths = [float(l) for l in rng.choice(TIE_LENGTHS, k)]
-            c = float(rng.choice((0.1, 1.0 / 3.0, 1.0, 3.0, 7.0)))
+            a_lengths = rng.choices(TIE_LENGTHS, k=k)
+            c = rng.choice((0.1, 1.0 / 3.0, 1.0, 3.0, 7.0))
             pairs.append(matching_pair(a_lengths, [c * l for l in a_lengths]))
     return pairs
 
 
 def permuted(tree, rng):
     items = list(tree.inner.items())
-    order = rng.permutation(len(items))
+    order = rng.sample(range(len(items)), len(items))
     return Tree(tree.taxa, tree.leaf_lengths, dict(items[i] for i in order))
 
 
@@ -661,7 +661,7 @@ def split_set_pairs(draw):
     if draw(st.booleans()):
         s, t = complete_conflict_pair(n, 0.1, 0.1)
         return s.taxa, sorted(s.inner), sorted(t.inner), True
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     sides = []
     for _ in range(2):
         splits = sorted(random_binary_splits(n, rng))

@@ -8,7 +8,8 @@ exponential in the number of conflicting splits, so the leaf count stays
 at 8 or below.
 """
 
-import numpy as np
+import random
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +45,7 @@ def metric(draw, taxa, splits):
 def tree_tuples(draw, count):
     taxa = make_taxa(draw(st.sampled_from((8, 7, 6, 5, 4))))
     # one seed for all topologies, so that they rarely coincide
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     return tuple(
         draw(metric(taxa, sorted(random_binary_splits(taxa.size, rng))))
         for _ in range(count)

@@ -66,7 +66,7 @@ def random_networks(rng, trials=450):
     """Small networks with uniform, equal-per-side and normalized weights."""
 
     def uniform(n):
-        return tuple(float(w) for w in rng.uniform(0.01, 1.0, n))
+        return tuple(rng.uniform(0.01, 1.0) for _ in range(n))
 
     def equal(n):
         # each side weighs 1.0, so "all of A" ties "all of B"
@@ -74,22 +74,22 @@ def random_networks(rng, trials=450):
 
     def normalized(n):
         # squared lengths over their sum, as geodesic._refine builds them
-        lengths = [float(l) for l in rng.uniform(0.01, 1.0, n)]
+        lengths = [rng.uniform(0.01, 1.0) for _ in range(n)]
         norm2 = sum(l * l for l in lengths)
         return tuple(l * l / norm2 for l in lengths)
 
     for trial in range(trials):
         weights = (uniform, equal, normalized)[trial % 3]
         density = 1.0 if trial % 5 == 0 else 0.45
-        na = int(rng.integers(1, 6))
-        nb = int(rng.integers(1, 6))
+        na = rng.randrange(1, 6)
+        nb = rng.randrange(1, 6)
         a_weights = weights(na)
         b_weights = weights(nb)
         edges = tuple(
             (i, j)
             for i in range(na)
             for j in range(nb)
-            if rng.uniform() < density
+            if rng.random() < density
         )
         yield FlowNetwork(a_weights, b_weights, edges)
 
@@ -107,12 +107,12 @@ def test_matches_the_dict_residual_version_bit_for_bit(rng):
     nets = list(random_networks(rng))
     # larger networks, and edges listed out of order and twice
     for _ in range(60):
-        na, nb = int(rng.integers(4, 12)), int(rng.integers(4, 12))
-        a_weights = tuple(float(w) for w in rng.uniform(0.01, 1.0, na))
-        b_weights = tuple(float(w) for w in rng.uniform(0.01, 1.0, nb))
-        edges = [(i, j) for i in range(na) for j in range(nb) if rng.uniform() < 0.4]
+        na, nb = rng.randrange(4, 12), rng.randrange(4, 12)
+        a_weights = tuple(rng.uniform(0.01, 1.0) for _ in range(na))
+        b_weights = tuple(rng.uniform(0.01, 1.0) for _ in range(nb))
+        edges = [(i, j) for i in range(na) for j in range(nb) if rng.random() < 0.4]
         edges += edges[: len(edges) // 3]
-        order = rng.permutation(len(edges))
+        order = rng.sample(range(len(edges)), len(edges))
         nets.append(FlowNetwork(a_weights, b_weights, [edges[k] for k in order]))
     for net in nets:
         flow, cover = max_flow(net)
@@ -123,12 +123,12 @@ def test_matches_the_dict_residual_version_bit_for_bit(rng):
 
 def test_extreme_weight_ratios(rng):
     for trial in range(40):
-        na = int(rng.integers(1, 5))
-        nb = int(rng.integers(1, 5))
-        a_weights = tuple(float(w) for w in 10.0 ** rng.uniform(-9, 0, na))
-        b_weights = tuple(float(w) for w in 10.0 ** rng.uniform(-9, 0, nb))
+        na = rng.randrange(1, 5)
+        nb = rng.randrange(1, 5)
+        a_weights = tuple(10.0 ** rng.uniform(-9, 0) for _ in range(na))
+        b_weights = tuple(10.0 ** rng.uniform(-9, 0) for _ in range(nb))
         edges = tuple(
-            (i, j) for i in range(na) for j in range(nb) if rng.uniform() < 0.6
+            (i, j) for i in range(na) for j in range(nb) if rng.random() < 0.6
         )
         net = FlowNetwork(a_weights, b_weights, edges)
         flow, cover = max_flow(net)

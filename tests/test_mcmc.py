@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def flat(tree):
 
 def start(aln, config, seed, log_target=flat):
     """A chain's first state and its generator, as run_chain makes them."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     tree = initial_tree(aln, config, rng)
     return ChainState(tree, log_target(tree)), rng
 
@@ -119,9 +120,9 @@ class TestNniNeighbors:
 
     def test_outputs_valid_and_differ_by_one_split(self, rng):
         for _ in range(40):
-            taxa = make_taxa(int(rng.integers(4, 8)))
+            taxa = make_taxa(rng.randrange(4, 8))
             tree = random_tree(taxa, rng)
-            edge = sorted(tree.inner)[int(rng.integers(len(tree.inner)))]
+            edge = sorted(tree.inner)[rng.randrange(len(tree.inner))]
             for neighbor in nni_neighbors(tree, edge):
                 assert validate(neighbor) == []
                 gone = set(tree.inner) - set(neighbor.inner)
@@ -154,7 +155,7 @@ class TestNniNeighbors:
 class TestPropose:
     def test_high_tau_gives_length_moves(self, rng):
         tree = random_tree(make_taxa(5), rng)
-        draws = np.random.default_rng(0)
+        draws = random.Random(0)
         cfg = ProposalConfig(tau=1.0 - 1e-12, sigma=0.05, seed=0)
         for _ in range(100):
             candidate, move = propose(tree, draws, cfg)
@@ -170,7 +171,7 @@ class TestPropose:
 
     def test_low_tau_gives_nni_moves(self, rng):
         tree = random_tree(make_taxa(5), rng)
-        draws = np.random.default_rng(0)
+        draws = random.Random(0)
         cfg = ProposalConfig(tau=1e-12, sigma=0.05, seed=0)
         for _ in range(100):
             candidate, move = propose(tree, draws, cfg)
@@ -181,7 +182,7 @@ class TestPropose:
         taxa = make_taxa(4)
         split = split_of({1, 2}, 4)
         tree = Tree(taxa, (0.01,) * 4, {split: 0.01})
-        draws = np.random.default_rng(3)
+        draws = random.Random(3)
         cfg = ProposalConfig(tau=1.0 - 1e-12, sigma=0.05, seed=0)
         for _ in range(300):
             candidate, _ = propose(tree, draws, cfg)
@@ -226,20 +227,18 @@ class TestMhStep:
 
     @pytest.mark.parametrize("log_target,accepted", [(-50.0, True), (-math.inf, False)])
     def test_zero_uniform_accepts_every_finite_ratio(self, log_target, accepted, rng):
-        # a Generator's uniform() is exactly 0.0 with probability 2**-53;
-        # log 0 = -inf lies below every finite log ratio
-        class ZeroUniform:
-            def uniform(self):
+        # random() is exactly 0.0 with probability 2**-53; log 0 = -inf
+        # lies below every finite log ratio
+        class ZeroUniform(random.Random):
+            def random(self):
                 return 0.0
 
-            def integers(self, n):
-                return 0
-
-            def normal(self, loc, scale):
-                return loc + scale
+            def gauss(self, mu, sigma):
+                # the stock gauss turns random() == 0.0 into mu: no move
+                return mu + sigma
 
         state = ChainState(random_tree(make_taxa(5), rng), 0.0)
-        new, row = mh_step(state, ZeroUniform(), ProposalConfig(), lambda tree: log_target)
+        new, row = mh_step(state, ZeroUniform(0), ProposalConfig(), lambda tree: log_target)
         assert row.move == LENGTH_MOVE
         assert row.accepted is accepted
         assert (new.log_post, new.current != state.current) == (
@@ -269,7 +268,7 @@ class TestMhStep:
 
         saved, _ = start(aln, config, seed=9, log_target=target)
         outcomes = [
-            mh_step(saved, np.random.default_rng(seed), config.proposal, target)
+            mh_step(saved, random.Random(seed), config.proposal, target)
             for seed in (31, 31, 32)
         ]
         assert outcomes[0] == outcomes[1]
@@ -413,6 +412,6 @@ class TestRun:
     def test_initial_tree_draws_from_prior(self):
         aln = empty_alignment(6)
         config = prior_run_config()
-        tree = initial_tree(aln, config, np.random.default_rng(3))
+        tree = initial_tree(aln, config, random.Random(3))
         assert validate(tree) == []
         assert len(tree.inner) == tree.taxa.size - 3

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 
 import numpy as np
@@ -21,7 +22,14 @@ from bhvphylo.phylo_model import (
 from bhvphylo.mcmc import ProposalConfig, RunConfig, nni_neighbors, run
 from bhvphylo.treespace import TaxonTable, Tree, tree_topology
 
-from conftest import column_poly, dirichlet_moment, make_taxa, random_tree, split_of
+from conftest import (
+    column_poly,
+    dirichlet_draws,
+    dirichlet_moment,
+    make_taxa,
+    random_tree,
+    split_of,
+)
 from oracles import (
     evaluate_terms,
     pruning_likelihood_vectorized,
@@ -32,14 +40,14 @@ from oracles import (
 
 
 def random_column(rng, size):
-    return tuple(int(x) for x in rng.integers(0, 5, size))
+    return tuple(rng.randrange(5) for _ in range(size))
 
 
 def shared_base_column(rng, size, share=0.7):
     """Each symbol is one common base with probability `share`, else uniform."""
-    base = int(rng.integers(0, 5))
+    base = rng.randrange(5)
     return tuple(
-        base if rng.uniform() < share else int(rng.integers(0, 5)) for _ in range(size)
+        base if rng.random() < share else rng.randrange(5) for _ in range(size)
     )
 
 
@@ -111,7 +119,7 @@ class TestDirichletMoment:
     def test_against_monte_carlo(self, rng):
         prior = DirichletPrior((0.3, 0.5, 0.2, 0.7, 0.4))
         counts = (2, 1, 0, 3, 1)
-        draws = rng.dirichlet(prior.alpha, size=400000)
+        draws = dirichlet_draws(rng, prior.alpha, size=400000)
         values = np.prod(draws ** np.array(counts), axis=1)
         se = values.std(ddof=1) / math.sqrt(len(values))
         assert dirichlet_moment(counts, prior) == pytest.approx(
@@ -206,12 +214,12 @@ class TestColumnPoly:
 
     def test_matches_state_enumeration(self, rng):
         for _ in range(40):
-            n_leaves = int(rng.integers(4, 7))
+            n_leaves = rng.randrange(4, 7)
             taxa = make_taxa(n_leaves)
             tree = random_tree(taxa, rng, drop_probability=0.3, low=0.02, high=2.0)
             column = random_column(rng, n_leaves)
             poly = column_poly(tree, column)
-            theta = rng.dirichlet((0.5,) * 5)
+            theta = dirichlet_draws(rng, (0.5,) * 5)
             assert evaluate_terms(poly, theta) == pytest.approx(
                 state_enumeration_likelihood(tree, column, theta), abs=1e-10
             )
@@ -243,7 +251,7 @@ class TestLogLikelihood:
         column = (GAP,) * 4
         aln = Alignment.from_columns(taxa, [column])
         prior = DirichletPrior()
-        draws = rng.dirichlet(prior.alpha, size=300000)
+        draws = dirichlet_draws(rng, prior.alpha, size=300000)
         values = pruning_likelihood_vectorized(tree, column, draws)
         se = values.std(ddof=1) / math.sqrt(len(values))
         got = math.exp(log_likelihood(tree, aln, prior))
@@ -256,7 +264,7 @@ class TestLogLikelihood:
         prior = DirichletPrior()
         log_product, se_sum = 0.0, 0.0
         for column in columns:
-            draws = rng.dirichlet(prior.alpha, size=250000)
+            draws = dirichlet_draws(rng, prior.alpha, size=250000)
             values = pruning_likelihood_vectorized(tree, column, draws)
             mc = float(values.mean())
             se = values.std(ddof=1) / math.sqrt(len(values))
@@ -312,10 +320,10 @@ class TestLogLikelihood:
         # integrated likelihood unchanged
         names = ("w", "x", "y", "z", "q")
         prior = DirichletPrior()
-        rng_local = np.random.default_rng(77)
+        rng_local = random.Random(77)
         taxa_a = TaxonTable(names)
         tree_a = random_tree(taxa_a, rng_local)
-        column_by_name = {name: int(rng_local.integers(0, 5)) for name in names}
+        column_by_name = {name: rng_local.randrange(5) for name in names}
 
         reordered = ("y",) + tuple(n for n in names if n != "y")
         taxa_b = TaxonTable(reordered)
@@ -367,7 +375,7 @@ class TestRawThetaOracle:
         prior = DirichletPrior()
         worst = 0.0
         for trial in range(60):
-            n_leaves = int(rng.integers(4, 9))
+            n_leaves = rng.randrange(4, 9)
             taxa = make_taxa(n_leaves)
             shape = random_tree(taxa, rng, drop_probability=0.3)
             tree = log_uniform_lengths(shape, rng, 1e-6, 5.0)
@@ -391,7 +399,7 @@ class TestRawThetaOracle:
         # rescaling threshold, while the oracle's leading terms stay normal
         prior = DirichletPrior()
         for _ in range(20):
-            n_leaves = int(rng.integers(4, 9))
+            n_leaves = rng.randrange(4, 9)
             taxa = make_taxa(n_leaves)
             shape = random_tree(taxa, rng, drop_probability=0.3)
             tree = log_uniform_lengths(shape, rng, 1e-55, 1e-45)
@@ -409,10 +417,10 @@ class TestBatchedRescaling:
         # showing every symbol needs four mutations and is rescaled
         prior = DirichletPrior()
         for _ in range(10):
-            n_leaves = int(rng.integers(5, 9))
+            n_leaves = rng.randrange(5, 9)
             taxa = make_taxa(n_leaves)
             tree = log_uniform_lengths(random_tree(taxa, rng), rng, 1e-55, 1e-45)
-            columns = [(int(rng.integers(5)),) * n_leaves, tuple(i % 5 for i in range(n_leaves))]
+            columns = [(rng.randrange(5),) * n_leaves, tuple(i % 5 for i in range(n_leaves))]
             aln = Alignment.from_columns(taxa, columns)
             (plan,) = phylo_model._plans(tree, aln, prior.alpha)
             _, scale = phylo_model._final_coefficients(plan, phylo_model._slot_lengths(tree, plan))
@@ -614,7 +622,7 @@ class TestScale:
             (GAP,) * 32,
             random_column(rng, 32),
         ):
-            draws = rng.dirichlet(prior.alpha, size=200000)
+            draws = dirichlet_draws(rng, prior.alpha, size=200000)
             values = pruning_likelihood_vectorized(tree, column, draws)
             se = values.std(ddof=1) / math.sqrt(len(values))
             got = math.exp(log_likelihood(tree, Alignment.from_columns(taxa, [column]), prior))

@@ -104,12 +104,12 @@ class TestConsensus:
         keep = split_of({1, 2}, 5)
         samples = []
         for _ in range(20):
-            other = split_of({3, 4}, 5) if rng.uniform() < 0.5 else split_of({1, 2, 3}, 5)
+            other = split_of({3, 4}, 5) if rng.random() < 0.5 else split_of({1, 2, 3}, 5)
             samples.append(
                 Tree(
                     taxa,
-                    tuple(float(x) for x in rng.uniform(0.05, 0.3, 5)),
-                    {keep: float(rng.uniform(0.2, 0.4)), other: 0.1},
+                    tuple(rng.uniform(0.05, 0.3) for _ in range(5)),
+                    {keep: rng.uniform(0.2, 0.4), other: 0.1},
                 )
             )
         consensus = consensus_majority(samples)
@@ -134,8 +134,8 @@ class TestConsensus:
         splits = sorted(random_tree(taxa, rng).inner)
         samples = []
         for _ in range(60):
-            leaf = tuple(float(x) for x in rng.uniform(0.05, 0.3, taxa.size))
-            inner = {s: float(rng.uniform(0.05, 0.3)) for s in splits}
+            leaf = tuple(rng.uniform(0.05, 0.3) for _ in range(taxa.size))
+            inner = {s: rng.uniform(0.05, 0.3) for s in splits}
             samples.append(Tree(taxa, leaf, inner))
         consensus = consensus_majority(samples)
         frechet = mean(samples, EstimatorConfig(seed=12))

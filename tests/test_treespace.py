@@ -1,10 +1,10 @@
 import itertools
 import math
 import pickle
+import random
 import re
 import sys
 
-import numpy as np
 import pytest
 
 from bhvphylo.treespace import (
@@ -43,16 +43,16 @@ def random_newick(rng, n_leaves: int) -> str:
     vertices and a root of degree 2 to 4."""
 
     def length() -> str:
-        return repr(float(rng.uniform(0.01, 1.0)))
+        return repr(rng.uniform(0.01, 1.0))
 
-    parts = [f"t{i:02d}" for i in rng.permutation(n_leaves)]
-    root_degree = int(rng.integers(2, 5))
+    parts = [f"t{i:02d}" for i in rng.sample(range(n_leaves), n_leaves)]
+    root_degree = rng.randrange(2, 5)
     while len(parts) > root_degree:
-        k = int(rng.integers(2, min(4, len(parts) - root_degree + 1) + 1))
-        chosen = sorted(rng.choice(len(parts), k, replace=False), reverse=True)
+        k = rng.randrange(2, min(4, len(parts) - root_degree + 1) + 1)
+        chosen = sorted(rng.sample(range(len(parts)), k), reverse=True)
         group = [parts.pop(i) for i in chosen]
         clade = "(" + ",".join(f"{g}:{length()}" for g in group) + ")"
-        if rng.uniform() < 0.2:
+        if rng.random() < 0.2:
             clade = f"({clade}:{length()})"
         parts.append(clade)
     return "(" + ",".join(f"{p}:{length()}" for p in parts) + ");"
@@ -154,7 +154,7 @@ class TestCompatible:
         ]
         splits = [split_of(side, n_leaves) for side in sides]
         for _ in range(300):
-            a, b = rng.choice(len(splits), size=2)
+            a, b = rng.choices(range(len(splits)), k=2)
             x, y = splits[int(a)], splits[int(b)]
             assert compatible(x, y) == four_intersections_compatible(x, y)
             assert compatible(x, y) == compatible(y, x)
@@ -223,7 +223,7 @@ class TestValidate:
 
     def test_all_tree_split_pairs_compatible(self, rng):
         for _ in range(50):
-            tree = random_tree(make_taxa(int(rng.integers(4, 8))), rng)
+            tree = random_tree(make_taxa(rng.randrange(4, 8)), rng)
             splits = sorted(tree.inner)
             for a, b in itertools.combinations(splits, 2):
                 assert compatible(a, b)
@@ -308,9 +308,9 @@ class TestParseNewick:
         # parse_newick checks only lengths: one parenthesization gives every
         # leaf one length and splits that are pairwise compatible
         for _ in range(300):
-            n_leaves = int(rng.integers(4, 40))
+            n_leaves = rng.randrange(4, 40)
             text = random_newick(rng, n_leaves)
-            outgroup = f"t{int(rng.integers(n_leaves)):02d}"
+            outgroup = f"t{rng.randrange(n_leaves):02d}"
             assert validate(parse_newick(text, outgroup=outgroup)) == []
 
     def test_overflowing_sums_of_lengths_rejected(self):
@@ -341,29 +341,29 @@ def newick_variant(rng, text: str, kind: int) -> str:
         pads = [" ", "  ", "\t", "\n", " \n "]
         return re.sub(
             r"[(),:;]",
-            lambda m: pads[int(rng.integers(5))] + m.group() + pads[int(rng.integers(5))],
+            lambda m: pads[rng.randrange(5)] + m.group() + pads[rng.randrange(5)],
             text,
         )
     if kind == 2:
         labels = ["97", "0.5", "node 3", "[&x=1]", "e5"]
-        return re.sub(r"\)", lambda m: ")" + labels[int(rng.integers(5))], text)
+        return re.sub(r"\)", lambda m: ")" + labels[rng.randrange(5)], text)
     if kind == 3:
         forms = [".3e", ".17E", ".0e"]
         return re.sub(
             r":([0-9.]+)",
-            lambda m: ":" + format(float(m.group(1)) * 10.0 ** int(rng.integers(-3, 4)),
-                                    forms[int(rng.integers(3))]),
+            lambda m: ":" + format(float(m.group(1)) * 10.0 ** rng.randrange(-3, 4),
+                                    forms[rng.randrange(3)]),
             text,
         )
     if kind == 4:
-        return text[: int(rng.integers(0, len(text)))]
+        return text[: rng.randrange(len(text))]
     if kind == 5:
         chars = list(text)
         alphabet = "(),:;. \t\n0123456789eE+-tAx[]"
-        for _ in range(int(rng.integers(1, 4))):
-            at = int(rng.integers(0, len(chars)))
-            char = alphabet[int(rng.integers(len(alphabet)))]
-            action = int(rng.integers(3))
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(chars))
+            char = alphabet[rng.randrange(len(alphabet))]
+            action = rng.randrange(3)
             if action == 0:
                 chars.insert(at, char)
             elif action == 1:
@@ -386,11 +386,11 @@ class TestAgainstReferenceReader:
     def test_random_variants_give_the_same_tree_or_error_class(self, rng):
         taxa = None
         for trial in range(900):
-            n_leaves = int(rng.integers(4, 40))
+            n_leaves = rng.randrange(4, 40)
             text = newick_variant(rng, random_newick(rng, n_leaves), trial % 6)
             kwargs = {}
             if trial % 4 == 1:
-                kwargs["outgroup"] = f"t{int(rng.integers(n_leaves)):02d}"
+                kwargs["outgroup"] = f"t{rng.randrange(n_leaves):02d}"
             elif trial % 4 == 2 and taxa is not None:
                 kwargs["taxa"] = taxa
             want = read_outcome(reference_parse_newick, text, **kwargs)
@@ -445,7 +445,7 @@ class TestSerializeNewick:
     def test_round_trip_random_trees(self, rng):
         for _ in range(100):
             tree = random_tree(
-                make_taxa(int(rng.integers(4, 9))), rng, drop_probability=0.3
+                make_taxa(rng.randrange(4, 9)), rng, drop_probability=0.3
             )
             again = parse_newick(serialize_newick(tree))
             assert again.taxa == tree.taxa
@@ -499,7 +499,7 @@ def vertex_structure(root) -> list[tuple]:
 class TestTopologyAgainstReference:
     def test_random_binary_and_non_binary_trees(self, rng):
         for trial in range(300):
-            taxa = make_taxa(int(rng.integers(4, 65)))
+            taxa = make_taxa(rng.randrange(4, 65))
             tree = random_tree(taxa, rng, drop_probability=0.4 * (trial % 2))
             assert vertex_structure(tree_topology(tree)) == vertex_structure(
                 reference_tree_topology(tree)
@@ -526,15 +526,15 @@ class TestTopologyCounts:
 
     def test_random_topologies_are_valid_and_binary(self, rng):
         for _ in range(50):
-            n_leaves = int(rng.integers(4, 9))
+            n_leaves = rng.randrange(4, 9)
             splits = random_binary_splits(n_leaves, rng)
             assert len(splits) == n_leaves - 3
             for a, b in itertools.combinations(sorted(splits), 2):
                 assert compatible(a, b)
 
     def test_random_topology_deterministic(self):
-        one = random_binary_splits(7, np.random.default_rng(5))
-        two = random_binary_splits(7, np.random.default_rng(5))
+        one = random_binary_splits(7, random.Random(5))
+        two = random_binary_splits(7, random.Random(5))
         assert one == two
 
 
@@ -543,10 +543,10 @@ def test_random_binary_splits_matches_reference(n_leaves):
     # the same splits from the same edge picks: the generator is left in
     # the same state, so the next draw agrees too
     for seed in range(50 if n_leaves > 20 else 60):
-        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        rng, ref = random.Random(seed), random.Random(seed)
         splits = random_binary_splits(n_leaves, rng)
         assert splits == reference_random_binary_splits(n_leaves, ref)
-        assert rng.integers(1 << 62) == ref.integers(1 << 62)
+        assert rng.randrange(1 << 62) == ref.randrange(1 << 62)
 
 
 class TestSamplesFile:
