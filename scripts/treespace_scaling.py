@@ -1,13 +1,15 @@
-"""Per-call cost of Newick parsing, topologies, geodesics, max flow and
-minimum covers against taxon count.
+"""Per-call cost of Newick parsing, topologies, geodesics, proximal steps,
+max flow and minimum covers against taxon count.
 
     python3 scripts/treespace_scaling.py
 
 Run from the root of a checkout; the program is imported from src/.  For
 each taxon count in TAXA the script draws one posterior-like set of TREES
-trees: six dominant topologies (a random binary backbone and five trees 20
-NNI moves from it), each tree 0-3 further NNI moves from one of them, with
-edge lengths jittered log-normally per tree.  It then times, as the summary
+trees, from a generator of its own seeded with SEED and the count, so that
+the counts listed do not change each other's trees: six dominant
+topologies (a random binary backbone and five trees 20 NNI moves from
+it), each tree 0-3 further NNI moves from one of them, with edge lengths
+jittered log-normally per tree.  It then times, as the summary
 commands meet them:
 
 - parse: `parse_newick` on each tree's serialization, against the taxon
@@ -20,6 +22,10 @@ commands meet them:
   as a command does rather than all of them as memo hits;
   `layout_hit_rate` is the share of those geodesics whose layout the
   memo held, each estimator starting from an empty memo as a command does;
+- step: one proximal step on the same pairs, as the walk takes it: the
+  geodesic, its length and, unless that is zero, the tree at the step
+  size the estimator chose there (`geodesic(s, t).point(eta)`), the
+  memo emptied before each pass as for geodesic;
 - max flow: `max_flow` on every network that reaches it (counted in
   `networks_per_geodesic`);
 - covers: `_min_cover` on every network those geodesics build, grouped
@@ -53,7 +59,7 @@ import numpy as np  # noqa: E402
 from bhvphylo import frechet  # noqa: E402
 from bhvphylo import geodesic as geodesic_module  # noqa: E402
 from bhvphylo.frechet import EstimatorConfig  # noqa: E402
-from bhvphylo.geodesic import geodesic  # noqa: E402
+from bhvphylo.geodesic import GeodesicPath, geodesic  # noqa: E402
 from bhvphylo.maxflow import max_flow  # noqa: E402
 from bhvphylo.mcmc import nni_neighbors  # noqa: E402
 from bhvphylo.treespace import (  # noqa: E402
@@ -65,7 +71,7 @@ from bhvphylo.treespace import (  # noqa: E402
     tree_topology,
 )
 
-TAXA = (8, 16, 32, 64)
+TAXA = (5, 8, 16, 32, 64)
 TREES = 30
 STEPS = 100
 REPEATS = 5
@@ -118,6 +124,14 @@ def per_call(call, items, repeats: int, reset=None) -> float:
     return statistics.median(times)
 
 
+def proximal_step(s: Tree, t: Tree, eta: float | None) -> None:
+    """One step of the walk from s toward t; eta is None where the two
+    trees are equal and the walk takes no step."""
+    path = geodesic(s, t)
+    if path.distance() > 0.0:
+        path.point(eta)
+
+
 def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
     tree_set = posterior_like(n_taxa, trees, rng)
     lines = [serialize_newick(tree) for tree in tree_set]
@@ -125,16 +139,22 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
     parse_s = per_call(lambda line: parse_newick(line, taxa=taxa), [(l,) for l in lines], repeats)
     topology_s = per_call(tree_topology, [(tree,) for tree in tree_set], repeats)
 
-    pairs = []
+    walk = []  # (iterate, input tree, step size or None) per step
     real_geodesic = frechet.geodesic
+    real_point = GeodesicPath.point
 
     def recording(s, t):
-        pairs.append((s, t))
+        walk.append((s, t, None))
         return real_geodesic(s, t)
+
+    def recording_point(path, eta):
+        walk[-1] = (*walk[-1][:2], eta)
+        return real_point(path, eta)
 
     layout = geodesic_module._layout
     hits = 0
     frechet.geodesic = recording
+    GeodesicPath.point = recording_point
     try:
         trees_read = [parse_newick(line, taxa=taxa) for line in lines]
         for estimator, seed in ((frechet.mean, 1), (frechet.median, 2)):
@@ -143,7 +163,10 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
             hits += layout.cache_info().hits
     finally:
         frechet.geodesic = real_geodesic
+        GeodesicPath.point = real_point
+    pairs = [(s, t) for s, t, _ in walk]
     geodesic_s = per_call(geodesic, pairs, repeats, reset=layout.cache_clear)
+    step_s = per_call(proximal_step, walk, repeats, reset=layout.cache_clear)
 
     networks = []
     covers = []
@@ -189,6 +212,7 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
         "parse_ms": round(1e3 * parse_s, 4),
         "topology_ms": round(1e3 * topology_s, 4),
         "geodesic_ms": round(1e3 * geodesic_s, 4),
+        "step_ms": round(1e3 * step_s, 4),
         "max_flow_us": round(1e6 * max_flow_s, 2),
         "lines": len(lines),
         "geodesics": len(pairs),
@@ -201,9 +225,9 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
 
 
 def main() -> int:
-    rng = random.Random(SEED)
     rows = []
     for n_taxa in TAXA:
+        rng = random.Random(1000 * SEED + n_taxa)
         rows.append(measure(n_taxa, TREES, STEPS, REPEATS, rng))
         print(json.dumps(rows[-1]), file=sys.stderr)
     host = (f"{platform.machine()}, {os.cpu_count()} cores, "

@@ -43,7 +43,8 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from operator import attrgetter
+from typing import NamedTuple
 
 from .maxflow import FlowNetwork, max_flow
 from .treespace import Split, Tree
@@ -56,8 +57,7 @@ _ENUM_MAX = 7
 _LAYOUT_MEMO = 64
 
 
-@dataclass(frozen=True)
-class SupportPair:
+class SupportPair(NamedTuple):
     """One leg boundary of the geodesic: source splits traded for target splits."""
 
     a_side: frozenset[Split]
@@ -70,25 +70,51 @@ class SupportPair:
         return self.a_norm / self.b_norm
 
 
-@dataclass(frozen=True)
 class GeodesicPath:
     """A geodesic of finite length; building one whose squared length
-    overflows raises ArithmeticError, so no caller walks or measures it."""
+    overflows raises ArithmeticError, so no caller walks or measures it.
 
-    source: Tree
-    target: Tree
-    common: tuple[tuple[Split, float, float], ...]
-    supports: tuple[SupportPair, ...]
-    leaf_deltas: tuple[float, ...]
-    _distance: float = field(init=False, repr=False, compare=False)
+    Immutable: each field is a read-only property over a private slot set
+    once, on construction.  Paths compare equal field by field.
+    """
 
-    def __post_init__(self):
-        total = sum((p.a_norm + p.b_norm) ** 2 for p in self.supports)
-        total += sum((ls - lt) ** 2 for _, ls, lt in self.common)
-        total += sum(d * d for d in self.leaf_deltas)
+    __slots__ = ("_source", "_target", "_common", "_supports", "_leaf_deltas", "_distance")
+
+    def __init__(self, source: Tree, target: Tree,
+                 common: tuple[tuple[Split, float, float], ...],
+                 supports: tuple[SupportPair, ...], leaf_deltas: tuple[float, ...]):
+        total = sum([(a + b) ** 2 for _, _, a, b in supports])
+        total += sum([(ls - lt) ** 2 for _, ls, lt in common])
+        total += sum([d * d for d in leaf_deltas])
         if not math.isfinite(total):
             raise ArithmeticError(f"the squared geodesic distance is {total}")
-        object.__setattr__(self, "_distance", math.sqrt(total))
+        self._source = source
+        self._target = target
+        self._common = common
+        self._supports = supports
+        self._leaf_deltas = leaf_deltas
+        self._distance = math.sqrt(total)
+
+    source = property(attrgetter("_source"))
+    target = property(attrgetter("_target"))
+    # (split, source length, target length), in split order
+    common = property(attrgetter("_common"))
+    # in nondecreasing order of ratio
+    supports = property(attrgetter("_supports"))
+    leaf_deltas = property(attrgetter("_leaf_deltas"))
+
+    def _fields(self) -> tuple:
+        return self._source, self._target, self._common, self._supports, self._leaf_deltas
+
+    def __eq__(self, other):
+        if not isinstance(other, GeodesicPath):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        names = ("source", "target", "common", "supports", "leaf_deltas")
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
+        return f"GeodesicPath({fields})"
 
     def distance(self) -> float:
         return self._distance
@@ -98,34 +124,36 @@ class GeodesicPath:
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda {lam} outside [0, 1]")
         if lam == 0.0:
-            return self.source
+            return self._source
         if lam == 1.0:
-            return self.target
-        source = self.source
-        target = self.target
+            return self._target
+        source = self._source
+        target = self._target
+        mu = 1.0 - lam
         leaf_lengths = tuple(
-            (1.0 - lam) * a + lam * b
-            for a, b in zip(source.leaf_lengths, target.leaf_lengths)
+            [mu * a + lam * b for a, b in zip(source.leaf_lengths, target.leaf_lengths)]
         )
         inner: dict[Split, float] = {}
-        for split, ls, lt in self.common:
-            length = (1.0 - lam) * ls + lam * lt
+        for split, ls, lt in self._common:
+            length = mu * ls + lam * lt
             if length > 0.0:
                 inner[split] = length
-        for pair in self.supports:
-            shrink = (1.0 - lam) * pair.a_norm - lam * pair.b_norm
+        for a_side, b_side, a_norm, b_norm in self._supports:
+            shrink = mu * a_norm - lam * b_norm
             # snap float dust at the crossing to the orthant boundary
-            if abs(shrink) <= 1e-13 * (pair.a_norm + pair.b_norm):
+            if abs(shrink) <= 1e-13 * (a_norm + b_norm):
                 continue
             if shrink > 0.0:
-                scale = shrink / pair.a_norm
-                for split in pair.a_side:
-                    inner[split] = source.inner[split] * scale
+                scale = shrink / a_norm
+                lengths = source.inner
+                for split in a_side:
+                    inner[split] = lengths[split] * scale
             else:
-                scale = -shrink / pair.b_norm
-                for split in pair.b_side:
-                    inner[split] = target.inner[split] * scale
-        return Tree(source.taxa, leaf_lengths, inner)
+                scale = -shrink / b_norm
+                lengths = target.inner
+                for split in b_side:
+                    inner[split] = lengths[split] * scale
+        return Tree._adopt(source.taxa, leaf_lengths, inner)
 
 
 def _conflict_rows(a_bits: list[int], b_bits: list[int]) -> list[int]:
@@ -209,8 +237,8 @@ def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) 
     Items are (split, length, conflict row) on side A and (split, length,
     bit) on side B; a row holds the bits of the B splits it conflicts with.
     """
-    norm_a2 = sum(l * l for _, l, _ in a_items)
-    norm_b2 = sum(l * l for _, l, _ in b_items)
+    norm_a2 = sum([l * l for _, l, _ in a_items])
+    norm_b2 = sum([l * l for _, l, _ in b_items])
     # a cut must leave splits of both trees in both halves, so a side
     # holding one split ends the refinement without a cover
     if len(a_items) > 1 and len(b_items) > 1:
@@ -237,8 +265,8 @@ def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) 
                 return
     out.append(
         SupportPair(
-            frozenset(s for s, _, _ in a_items),
-            frozenset(s for s, _, _ in b_items),
+            frozenset([s for s, _, _ in a_items]),
+            frozenset([s for s, _, _ in b_items]),
             math.sqrt(norm_a2),
             math.sqrt(norm_b2),
         )
@@ -303,9 +331,8 @@ def _layout(s_splits: frozenset[Split], t_splits: frozenset[Split]) -> tuple[tup
 
 def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     """Compute the geodesic path between two trees over the same taxa."""
-    if s.taxa != t.taxa:
+    if s.taxa is not t.taxa and s.taxa != t.taxa:
         raise ValueError("trees are over different taxon tables")
-    leaf_deltas = tuple(b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths))
     s_len, t_len = s.inner, t.inner
     common, components = _layout(frozenset(s_len), frozenset(t_len))
 
@@ -316,17 +343,20 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
             [(b, t_len[b], bit) for b, bit in b_side],
             supports,
         )
-    # A sides of distinct supports are disjoint, so their smallest masks
-    # break ratio ties as the sorted lists of all their masks would
-    supports.sort(key=lambda p: (p.ratio, min(sp.bits for sp in p.a_side)))
+    if len(supports) > 1:
+        # A sides of distinct supports are disjoint, so their smallest masks
+        # break ratio ties as the sorted lists of all their masks would
+        supports.sort(key=lambda p: (p.ratio, min([sp.bits for sp in p.a_side])))
 
+    s_get, t_get = s_len.get, t_len.get
+    # by position: a class called with keywords builds a dict for them
     return GeodesicPath(
-        source=s,
-        target=t,
+        s,
+        t,
         # a split absent from one tree has length zero there
-        common=tuple((c, s_len.get(c, 0.0), t_len.get(c, 0.0)) for c in common),
-        supports=tuple(supports),
-        leaf_deltas=leaf_deltas,
+        tuple([(c, s_get(c, 0.0), t_get(c, 0.0)) for c in common]),
+        tuple(supports),
+        tuple([b - a for a, b in zip(s.leaf_lengths, t.leaf_lengths)]),
     )
 
 

@@ -235,7 +235,6 @@ class _Plan:
     closing: np.ndarray         # root cell -> final cell, as the open component closes
     starts: np.ndarray          # first final cell of each pattern
     cell_pattern: np.ndarray    # the pattern of each final cell, within the block
-    exponents: np.ndarray       # each final cell's monomial, one exponent per symbol
     log_moments: np.ndarray     # each final cell's Dirichlet moment, in logs
 
 
@@ -343,6 +342,7 @@ def _compile(topology, patterns: list, first: int, alpha: tuple[float, ...],
     state = states[-1]
     final, closing = _distinct(closed(state))
     pattern, _, key = decode(final)
+    # each final cell's monomial, one exponent per symbol
     exponents = key[:, None] // unit[pattern, :N_SYMBOLS] % radix[pattern]
     return _Plan(
         splits=tuple(splits),
@@ -353,7 +353,6 @@ def _compile(topology, patterns: list, first: int, alpha: tuple[float, ...],
         closing=closing,
         starts=np.searchsorted(final, base),
         cell_pattern=pattern,
-        exponents=exponents,
         log_moments=_log_moments(exponents, alpha),
     )
 

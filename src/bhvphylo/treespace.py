@@ -126,26 +126,40 @@ class Tree:
     inner: dict[Split, float]
 
     def __post_init__(self):
+        # the caller may go on to change what it passed
         object.__setattr__(self, "leaf_lengths", tuple(self.leaf_lengths))
         object.__setattr__(self, "inner", dict(self.inner))
+
+    @classmethod
+    def _adopt(cls, taxa: TaxonTable, leaf_lengths: tuple[float, ...],
+               inner: dict[Split, float]) -> "Tree":
+        """A tree that keeps the tuple and dict it is handed, uncopied: for
+        callers that built them for this tree, or took them from another
+        tree, and change them no more."""
+        tree = object.__new__(cls)
+        fields = tree.__dict__
+        fields["taxa"] = taxa
+        fields["leaf_lengths"] = leaf_lengths
+        fields["inner"] = inner
+        return tree
 
     def with_leaf_length(self, leaf: int, length: float) -> "Tree":
         lengths = list(self.leaf_lengths)
         lengths[leaf] = length
-        return Tree(self.taxa, tuple(lengths), self.inner)
+        return Tree._adopt(self.taxa, tuple(lengths), self.inner)
 
     def with_inner_length(self, split: Split, length: float) -> "Tree":
         if split not in self.inner:
             raise KeyError(f"{split} not in tree")
         inner = dict(self.inner)
         inner[split] = length
-        return Tree(self.taxa, self.leaf_lengths, inner)
+        return Tree._adopt(self.taxa, self.leaf_lengths, inner)
 
     def with_split_replaced(self, old: Split, new: Split) -> "Tree":
         inner = dict(self.inner)
         length = inner.pop(old)
         inner[new] = length
-        return Tree(self.taxa, self.leaf_lengths, inner)
+        return Tree._adopt(self.taxa, self.leaf_lengths, inner)
 
     def __eq__(self, other):
         if not isinstance(other, Tree):
@@ -429,6 +443,10 @@ def parse_newick(
             )
         side = below if not below & 1 else full ^ below
         count = side.bit_count()
+        if count == 0:
+            # an edge above every leaf: the root has this vertex as its
+            # only child
+            raise NewickError("inner edge above all leaves", reader.offset(start, "node"))
         if count == 1:
             leaf_lengths[_min_leaf(side)] += length
         elif count == n_leaves - 1:
@@ -437,7 +455,7 @@ def parse_newick(
             split = Split(side, n_leaves)
             inner[split] = inner.get(split, 0.0) + length
 
-    tree = Tree(taxa, tuple(leaf_lengths), inner)
+    tree = Tree._adopt(taxa, tuple(leaf_lengths), inner)
     # one parenthesization gives every leaf one length and laminar splits,
     # so only a length can break `validate`: one part, or a sum of parts,
     # that overflowed

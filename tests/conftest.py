@@ -94,12 +94,26 @@ def column_poly(tree: Tree, column) -> dict:
     `log_likelihood` compiles for a one-pattern alignment computes it (its
     power-of-two scale applied)."""
     alignment = Alignment.from_columns(tree.taxa, [tuple(column)])
-    (plan,) = phylo_model._plans(tree, alignment, DirichletPrior().alpha)
+    # a plan keeps only each monomial's log moment, so the monomials are
+    # taken from the compile as it hands them to `_log_moments`
+    monomials = []
+    log_moments = phylo_model._log_moments
+
+    def keeping(exponents, alpha):
+        monomials.append(exponents)
+        return log_moments(exponents, alpha)
+
+    phylo_model._log_moments = keeping
+    try:
+        (plan,) = phylo_model._plans(tree, alignment, DirichletPrior().alpha)
+    finally:
+        phylo_model._log_moments = log_moments
     lengths = phylo_model._slot_lengths(tree, plan)
     coefficients, scale = phylo_model._final_coefficients(plan, lengths)
+    (exponents,) = monomials
     scaled = {
-        tuple(int(e) for e in exponents): math.ldexp(float(c), int(scale[0]))
-        for exponents, c in zip(plan.exponents, coefficients)
+        tuple(int(e) for e in row): math.ldexp(float(c), int(scale[0]))
+        for row, c in zip(exponents, coefficients)
     }
     return {e: c for e, c in scaled.items() if c != 0.0}
 

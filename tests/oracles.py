@@ -7,7 +7,9 @@ vertex states numerically, and the Euclidean estimators work on plain
 length vectors.  The reference geodesic is the earlier refinement kept
 verbatim (per-pair `compatible`, a max flow for every network and a
 dict-of-dicts residual graph), so the fast path must reproduce it bit
-for bit.  The random topology and the exhaustive enumeration grow an
+for bit; `reference_point` is the earlier `GeodesicPath.point`, kept
+verbatim, and the walked trees must equal its trees bit for bit.  The
+random topology and the exhaustive enumeration grow an
 explicit adjacency graph and read each split off by a search, where the
 program keeps clade masks; the random one must pick the same edges and
 return the same splits.  The reference dict pruning is the likelihood
@@ -16,7 +18,9 @@ shares `mutation_prob` with the program); the plans must match it to
 1e-12 relative.  The reference Newick reader is the character-level
 recursive descent the program used before it tokenized each line, kept
 verbatim; the tokenizing reader must return the same tree or raise the
-same class of exception, except that it rejects text after the `;`.
+same class of exception, except that it rejects text after the `;` and
+raises `NewickError` for an edge above every leaf, where the reference
+raises the bare `ValueError` of `Split`.
 The reference topology is the earlier two-search `tree_topology`, kept
 verbatim; the one-pass version must build the same vertex structure.
 The reference argument parser is the argparse `build_parser` the
@@ -313,6 +317,41 @@ def reference_geodesic(s: Tree, t: Tree) -> GeodesicPath:
         supports=tuple(supports),
         leaf_deltas=leaf_deltas,
     )
+
+
+def reference_point(path: GeodesicPath, lam: float) -> Tree:
+    """The tree at parameter lam in [0,1]; endpoints are returned exactly."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda {lam} outside [0, 1]")
+    if lam == 0.0:
+        return path.source
+    if lam == 1.0:
+        return path.target
+    source = path.source
+    target = path.target
+    leaf_lengths = tuple(
+        (1.0 - lam) * a + lam * b
+        for a, b in zip(source.leaf_lengths, target.leaf_lengths)
+    )
+    inner: dict[Split, float] = {}
+    for split, ls, lt in path.common:
+        length = (1.0 - lam) * ls + lam * lt
+        if length > 0.0:
+            inner[split] = length
+    for pair in path.supports:
+        shrink = (1.0 - lam) * pair.a_norm - lam * pair.b_norm
+        # snap float dust at the crossing to the orthant boundary
+        if abs(shrink) <= 1e-13 * (pair.a_norm + pair.b_norm):
+            continue
+        if shrink > 0.0:
+            scale = shrink / pair.a_norm
+            for split in pair.a_side:
+                inner[split] = source.inner[split] * scale
+        else:
+            scale = -shrink / pair.b_norm
+            for split in pair.b_side:
+                inner[split] = target.inner[split] * scale
+    return Tree(source.taxa, leaf_lengths, inner)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import pickle
 import random
 import sys
 
@@ -14,6 +15,8 @@ from bhvphylo import geodesic as geodesic_module
 from bhvphylo.frechet import EstimatorConfig
 from bhvphylo.geodesic import (
     _ENUM_MAX,
+    GeodesicPath,
+    SupportPair,
     _conflict_rows,
     _min_cover,
     _refine,
@@ -30,6 +33,7 @@ from oracles import (
     brute_force_distance,
     brute_force_min_cover,
     reference_geodesic,
+    reference_point,
     reference_refine,
 )
 
@@ -39,6 +43,15 @@ def t3_pair(length_a=0.3, length_b=0.4):
     s = Tree(taxa, (0.1,) * 4, {split_of({1, 2}, 4): length_a})
     t = Tree(taxa, (0.1,) * 4, {split_of({1, 3}, 4): length_b})
     return s, t
+
+
+def tree_bits(tree):
+    """A tree's taxa, leaf lengths and inner items in order, floats as hex."""
+    return (
+        tree.taxa,
+        [x.hex() for x in tree.leaf_lengths],
+        [(split, x.hex()) for split, x in tree.inner.items()],
+    )
 
 
 def test_package_attribute_is_the_module():
@@ -179,11 +192,15 @@ class TestInterpolate:
         t = random_tree(taxa, rng)
         assert interpolate(s, t, 0.0) == s
         assert interpolate(s, t, 1.0) == t
+        path = geodesic(s, t)
+        assert path.point(0.0) is s is reference_point(path, 0.0)
+        assert path.point(1.0) is t is reference_point(path, 1.0)
 
     def test_cone_crossing_is_the_star_tree(self):
         s, t = t3_pair(0.3, 0.4)
         star = interpolate(s, t, 3.0 / 7.0)
         assert star.inner == {}
+        assert tree_bits(star) == tree_bits(reference_point(geodesic(s, t), 3.0 / 7.0))
 
     def test_same_orthant_midpoint_is_coordinatewise(self, rng):
         taxa = make_taxa(6)
@@ -292,6 +309,89 @@ def reference_pairs(rng):
         for s, t in pairs[-30:]:
             pairs.append((equal_lengths(s), equal_lengths(t, 0.2)))
     return pairs
+
+
+class TestPointMatchesReference:
+    def test_bit_equal_points_on_random_and_posterior_like_pairs(self, rng):
+        for s, t in reference_pairs(rng):
+            path = geodesic(s, t)
+            for lam in (1e-9, 0.1, 0.5, 0.9, 1.0 - 1e-9, rng.random()):
+                assert tree_bits(path.point(lam)) == tree_bits(reference_point(path, lam))
+
+    def test_bit_equal_points_at_and_beside_each_crossing(self, rng):
+        # at lam = a / (a + b) a support's shrink is float dust that both
+        # snap to the orthant boundary; one ulp either side it may not be
+        crossings = 0
+        for s, t in reference_pairs(rng):
+            path = geodesic(s, t)
+            for pair in path.supports:
+                at = pair.a_norm / (pair.a_norm + pair.b_norm)
+                for lam in (math.nextafter(at, 0.0), at, math.nextafter(at, 1.0)):
+                    got = path.point(lam)
+                    assert tree_bits(got) == tree_bits(reference_point(path, lam))
+                crossings += 1
+        assert crossings > 300
+
+    def test_a_point_holds_new_lengths(self, rng):
+        taxa = make_taxa(8)
+        s = random_tree(taxa, rng)
+        t = Tree(taxa, s.leaf_lengths, s.inner)  # same lengths: every point equals s
+        path = geodesic(s, t)
+        for lam in (0.25, 0.5):
+            point = path.point(lam)
+            assert point == s
+            assert point.inner is not s.inner and point.inner is not t.inner
+            assert point.leaf_lengths is not s.leaf_lengths
+            assert point.leaf_lengths is not t.leaf_lengths
+
+    def test_walking_leaves_the_input_trees_unchanged(self, rng):
+        trees = posterior_like_set(make_taxa(8), rng)
+        before = [tree_bits(tree) for tree in trees]
+        estimates = [
+            frechet.mean(trees, EstimatorConfig(iterations=200, seed=1)),
+            frechet.median(trees, EstimatorConfig(iterations=200, seed=2)),
+        ]
+        assert [tree_bits(tree) for tree in trees] == before
+        for estimate in estimates:
+            for tree in trees:
+                assert estimate.inner is not tree.inner
+
+
+class TestPathTypes:
+    def test_geodesic_path_fields_are_read_only(self, rng):
+        path = geodesic(*t3_pair())
+        for name in ("source", "target", "common", "supports", "leaf_deltas", "x"):
+            with pytest.raises(AttributeError):
+                setattr(path, name, None)
+        with pytest.raises(AttributeError):
+            del path.supports
+
+    def test_geodesic_path_equality_keywords_and_pickle(self, rng):
+        taxa = make_taxa(7)
+        s = random_tree(taxa, rng, drop_probability=0.2)
+        t = random_tree(taxa, rng, drop_probability=0.2)
+        path = geodesic(s, t)
+        again = GeodesicPath(
+            source=path.source,
+            target=path.target,
+            common=path.common,
+            supports=path.supports,
+            leaf_deltas=path.leaf_deltas,
+        )
+        assert again == path and again is not path
+        assert again.distance() == path.distance()
+        assert path != geodesic(t, s)
+        copied = pickle.loads(pickle.dumps(path))
+        assert copied == path
+        assert_same_path(copied, path)
+
+    def test_support_pair_is_a_named_tuple(self):
+        (pair,) = geodesic(*t3_pair(0.3, 0.4)).supports
+        assert isinstance(pair, tuple)
+        assert pair == SupportPair(pair.a_side, pair.b_side, 0.3, 0.4)
+        a_side, b_side, a_norm, b_norm = pair
+        assert (a_norm, b_norm) == (0.3, 0.4)
+        assert pair.ratio == 0.3 / 0.4
 
 
 class TestMatchesReference:

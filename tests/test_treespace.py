@@ -229,6 +229,30 @@ class TestValidate:
                 assert compatible(a, b)
 
 
+class TestTreeConstruction:
+    def test_public_constructor_copies_what_it_is_handed(self):
+        leaf_lengths = [0.1] * 5
+        inner = {split_of({1, 2}, 5): 0.2}
+        tree = Tree(make_taxa(5), leaf_lengths, inner)
+        leaf_lengths[0] = 9.0
+        inner[split_of({3, 4}, 5)] = 0.3
+        assert tree.leaf_lengths == (0.1,) * 5
+        assert tree.inner == {split_of({1, 2}, 5): 0.2}
+
+    def test_edits_return_new_trees_and_leave_the_original_unchanged(self):
+        cherry, other = split_of({1, 2}, 5), split_of({1, 3}, 5)
+        tree = Tree(make_taxa(5), (0.1,) * 5, {cherry: 0.2})
+        longer_leaf = tree.with_leaf_length(2, 0.7)
+        longer_edge = tree.with_inner_length(cherry, 0.9)
+        moved = tree.with_split_replaced(cherry, other)
+        assert tree.leaf_lengths == (0.1,) * 5 and tree.inner == {cherry: 0.2}
+        assert longer_leaf.leaf_lengths == (0.1, 0.1, 0.7, 0.1, 0.1)
+        assert longer_leaf.inner == {cherry: 0.2}
+        assert longer_edge.inner == {cherry: 0.9} and longer_edge.inner is not tree.inner
+        assert moved.inner == {other: 0.2} and moved.inner is not tree.inner
+        assert validate(moved) == []
+
+
 class TestTaxonTable:
     def test_too_few(self):
         with pytest.raises(ValueError):
@@ -290,6 +314,18 @@ class TestParseNewick:
         assert tree.taxa.names == ("A", "B", "C", "D")
         # both root edges describe the same bipartition; lengths add
         assert tree.inner == {split_of({2, 3}, 4): pytest.approx(0.12)}
+
+    def test_edge_above_all_leaves_is_a_newick_error(self):
+        # the root's only child holds every leaf, so its edge has no split;
+        # the error is at the child, the innermost one first
+        for text, offset in (
+            ("((A:1,B:1,C:1,D:1):1);", 1),
+            ("(((A:1,B:1,C:1,D:1):1):2);", 2),
+            ("((A:1,(B:1,C:1):1,D:1,O:1):1);", 1),
+        ):
+            with pytest.raises(NewickError, match="inner edge above all leaves") as info:
+                parse_newick(text)
+            assert info.value.offset == offset, text
 
     def test_taxon_table_mismatch(self):
         taxa = TaxonTable(("O", "A", "B", "C"))
