@@ -34,7 +34,11 @@ commands meet them:
   for sides of up to ENUM_TIMED splits.  Where enumeration is cheaper
   is where `geodesic._ENUM_MAX` belongs.
 
-Each value is the median over REPEATS passes of the time per call.
+Each value is the least time per call over REPEATS passes, with the
+garbage collector off during a pass as `timeit` has it.  The geodesic
+and step passes are taken in turn, so that a change in the host's speed
+during the run reaches both alike: a step computes a geodesic, and should
+not read cheaper than one.
 Prints one JSON object with, per taxon count, the times, the number of
 calls and of networks and vertices behind them, and the per-size cover
 costs.
@@ -42,12 +46,12 @@ costs.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import platform
 import random
-import statistics
 import sys
 import time
 
@@ -74,7 +78,7 @@ from bhvphylo.treespace import (  # noqa: E402
 TAXA = (5, 8, 16, 32, 64)
 TREES = 30
 STEPS = 100
-REPEATS = 5
+REPEATS = 25
 SEED = 1
 DOMINANTS = 6
 MODE_MOVES = 20
@@ -111,17 +115,19 @@ def posterior_like(n_taxa: int, trees: int, rng) -> list[Tree]:
 
 
 def per_call(call, items, repeats: int, reset=None) -> float:
-    """Median over `repeats` passes of the seconds per call; `reset`, when
+    """The least seconds per call over `repeats` passes; `reset`, when
     given, runs untimed before each pass."""
-    times = []
+    best = math.inf
     for _ in range(repeats):
         if reset is not None:
             reset()
+        gc.disable()
         start = time.perf_counter()
         for item in items:
             call(*item)
-        times.append((time.perf_counter() - start) / len(items))
-    return statistics.median(times)
+        best = min(best, (time.perf_counter() - start) / len(items))
+        gc.enable()
+    return best
 
 
 def proximal_step(s: Tree, t: Tree, eta: float | None) -> None:
@@ -165,8 +171,10 @@ def measure(n_taxa: int, trees: int, steps: int, repeats: int, rng) -> dict:
         frechet.geodesic = real_geodesic
         GeodesicPath.point = real_point
     pairs = [(s, t) for s, t, _ in walk]
-    geodesic_s = per_call(geodesic, pairs, repeats, reset=layout.cache_clear)
-    step_s = per_call(proximal_step, walk, repeats, reset=layout.cache_clear)
+    geodesic_s = step_s = math.inf
+    for _ in range(repeats):
+        geodesic_s = min(geodesic_s, per_call(geodesic, pairs, 1, reset=layout.cache_clear))
+        step_s = min(step_s, per_call(proximal_step, walk, 1, reset=layout.cache_clear))
 
     networks = []
     covers = []

@@ -47,8 +47,8 @@ from .summary import (
     stats_csv_lines,
 )
 from .treespace import (
-    TaxonTable,
     Tree,
+    canonical_taxa,
     load_samples,
     parse_newick,
     serialize_newick,
@@ -97,16 +97,11 @@ def alignment_from_fasta(path, outgroup: str | None) -> Alignment:
     sequences = read_fasta(path)
     if len(sequences) < 4:
         raise InputError(f"{path}: need at least 4 sequences, got {len(sequences)}")
-    names = [name for name, _ in sequences]
-    if outgroup is None:
-        outgroup = names[0]
-    if outgroup not in names:
-        raise InputError(f"outgroup {outgroup!r} not among the sequences")
-    # same canonical taxon order as parse_newick: outgroup first, rest sorted
-    ordered = [outgroup] + sorted(n for n in names if n != outgroup)
     by_name = dict(sequences)
-    taxa = TaxonTable(tuple(ordered))
-    return Alignment.from_sequences(taxa, [by_name[n] for n in ordered])
+    if outgroup is not None and outgroup not in by_name:
+        raise InputError(f"outgroup {outgroup!r} not among the sequences")
+    taxa = canonical_taxa(list(by_name), outgroup)
+    return Alignment.from_sequences(taxa, [by_name[n] for n in taxa.names])
 
 
 def _read_tree_arg(arg: str, taxa=None, outgroup=None) -> Tree:
@@ -153,6 +148,10 @@ def cmd_sample(args) -> int:
         sample_lines.append(f"# chain={chain} iter={iteration}")
         sample_lines.append(serialize_newick(tree))
 
+    # every option but --out, with the outgroup as resolved
+    parameters = {name[2:]: getattr(args, name[2:]) for name in COMMANDS["sample"].options}
+    del parameters["out"]
+    parameters["outgroup"] = alignment.taxa.names[0]
     manifest = {
         "tool": "bhvphylo",
         "version": __version__,
@@ -160,19 +159,7 @@ def cmd_sample(args) -> int:
         "input": {"path": str(args.fasta), "sha256": _sha256(args.fasta)},
         "taxa": list(alignment.taxa.names),
         "columns": alignment.n_columns,
-        "parameters": {
-            "alpha": args.alpha,
-            "shape": args.shape,
-            "scale": args.scale,
-            "tau": args.tau,
-            "sigma": args.sigma,
-            "chains": args.chains,
-            "iters": args.iters,
-            "burnin": args.burnin,
-            "thin": args.thin,
-            "seed": args.seed,
-            "outgroup": alignment.taxa.names[0],
-        },
+        "parameters": parameters,
         "chain_seeds": [args.seed + c for c in range(args.chains)],
         "python": platform.python_version(),
     }

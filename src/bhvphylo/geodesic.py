@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from operator import attrgetter
 from typing import NamedTuple
 
 from .maxflow import FlowNetwork, max_flow
@@ -70,75 +69,64 @@ class SupportPair(NamedTuple):
         return self.a_norm / self.b_norm
 
 
-class GeodesicPath:
+class _PathFields(NamedTuple):
+    source: Tree
+    target: Tree
+    # (split, source length, target length), in split order
+    common: tuple[tuple[Split, float, float], ...]
+    # in nondecreasing order of ratio
+    supports: tuple[SupportPair, ...]
+    leaf_deltas: tuple[float, ...]
+    length: float
+
+
+class GeodesicPath(_PathFields):
     """A geodesic of finite length; building one whose squared length
     overflows raises ArithmeticError, so no caller walks or measures it.
 
-    Immutable: each field is a read-only property over a private slot set
-    once, on construction.  Paths compare equal field by field.
+    The constructor takes the first five fields and works out `length`
+    from them.
     """
 
-    __slots__ = ("_source", "_target", "_common", "_supports", "_leaf_deltas", "_distance")
+    __slots__ = ()
 
-    def __init__(self, source: Tree, target: Tree,
-                 common: tuple[tuple[Split, float, float], ...],
-                 supports: tuple[SupportPair, ...], leaf_deltas: tuple[float, ...]):
+    def __new__(cls, source: Tree, target: Tree,
+                common: tuple[tuple[Split, float, float], ...],
+                supports: tuple[SupportPair, ...], leaf_deltas: tuple[float, ...]):
         total = sum([(a + b) ** 2 for _, _, a, b in supports])
         total += sum([(ls - lt) ** 2 for _, ls, lt in common])
         total += sum([d * d for d in leaf_deltas])
         if not math.isfinite(total):
             raise ArithmeticError(f"the squared geodesic distance is {total}")
-        self._source = source
-        self._target = target
-        self._common = common
-        self._supports = supports
-        self._leaf_deltas = leaf_deltas
-        self._distance = math.sqrt(total)
+        return tuple.__new__(
+            cls, (source, target, common, supports, leaf_deltas, math.sqrt(total))
+        )
 
-    source = property(attrgetter("_source"))
-    target = property(attrgetter("_target"))
-    # (split, source length, target length), in split order
-    common = property(attrgetter("_common"))
-    # in nondecreasing order of ratio
-    supports = property(attrgetter("_supports"))
-    leaf_deltas = property(attrgetter("_leaf_deltas"))
-
-    def _fields(self) -> tuple:
-        return self._source, self._target, self._common, self._supports, self._leaf_deltas
-
-    def __eq__(self, other):
-        if not isinstance(other, GeodesicPath):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self):
-        names = ("source", "target", "common", "supports", "leaf_deltas")
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._fields()))
-        return f"GeodesicPath({fields})"
+    def __getnewargs__(self):
+        return self[:5]
 
     def distance(self) -> float:
-        return self._distance
+        return self.length
 
     def point(self, lam: float) -> Tree:
         """The tree at parameter lam in [0,1]; endpoints are returned exactly."""
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lambda {lam} outside [0, 1]")
+        source, target = self.source, self.target
         if lam == 0.0:
-            return self._source
+            return source
         if lam == 1.0:
-            return self._target
-        source = self._source
-        target = self._target
+            return target
         mu = 1.0 - lam
         leaf_lengths = tuple(
             [mu * a + lam * b for a, b in zip(source.leaf_lengths, target.leaf_lengths)]
         )
         inner: dict[Split, float] = {}
-        for split, ls, lt in self._common:
+        for split, ls, lt in self.common:
             length = mu * ls + lam * lt
             if length > 0.0:
                 inner[split] = length
-        for a_side, b_side, a_norm, b_norm in self._supports:
+        for a_side, b_side, a_norm, b_norm in self.supports:
             shrink = mu * a_norm - lam * b_norm
             # snap float dust at the crossing to the orthant boundary
             if abs(shrink) <= 1e-13 * (a_norm + b_norm):

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .treespace import TaxonTable, Tree, tree_topology
+from .treespace import Split, TaxonTable, Tree, tree_topology
 
 ALPHABET = ("A", "C", "G", "T", "-")
 N_SYMBOLS = 5
@@ -227,7 +227,7 @@ class _Plan:
     cell of each pattern in the parent state afterwards.
     """
 
-    splits: tuple[int, ...]
+    splits: tuple[Split, ...]
     first: int                  # index of the block's first pattern in `pattern_index`
     pairs: int                  # state-message pairs the folds examine
     edges: tuple[tuple, ...]
@@ -266,7 +266,7 @@ def _pruning_order(node, slot: int, n_leaves: int, splits: list):
             yield child, child.leaf, slot
         else:
             child_slot = n_leaves + len(splits)
-            splits.append(child.mask)
+            splits.append(Split(child.mask, n_leaves))
             yield from _pruning_order(child, child_slot, n_leaves, splits)
             yield child, child_slot, slot
 
@@ -324,7 +324,7 @@ def _compile(topology, patterns: list, first: int, alpha: tuple[float, ...],
         )
         return cells, (left, right, out, len(cells))
 
-    splits: list[int] = []
+    splits: list[Split] = []
     edges: list[tuple] = []
     states = {}
     for child, child_slot, slot in _pruning_order(topology, -1, columns.shape[1], splits):
@@ -383,7 +383,7 @@ def _plans(tree: Tree, alignment: Alignment, alpha: tuple[float, ...]):
     block of patterns.  On a miss each block is compiled as the caller
     comes to it, and the blocks are kept, least recently used plans making
     room, if they examine at most `_CACHE_PAIRS` pairs together."""
-    key = (frozenset(split.bits for split in tree.inner), alpha)
+    key = (frozenset(tree.inner), alpha)
     cache = alignment.plans
     if key in cache:
         cache.move_to_end(key)
@@ -407,8 +407,7 @@ def _plans(tree: Tree, alignment: Alignment, alpha: tuple[float, ...]):
 
 def _slot_lengths(tree: Tree, plan: _Plan) -> list[float]:
     """The tree's edge lengths in the plan's slot order."""
-    inner = {split.bits: length for split, length in tree.inner.items()}
-    return [*tree.leaf_lengths, *(inner[bits] for bits in plan.splits)]
+    return [*tree.leaf_lengths, *(tree.inner[split] for split in plan.splits)]
 
 
 def _rescale(state, starts, scale) -> float:

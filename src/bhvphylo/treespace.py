@@ -10,9 +10,11 @@ compare in C.  Inner edges of length zero are represented by absence
 from the map; trees with fewer than n-2 inner edges are valid non-binary
 trees.
 
-All types but `Node` are immutable after construction and safe to share
-across threads; a `Node` is the vertex of the explicit topology that
-`tree_topology` builds by mutation, and each call builds new ones.
+`TaxonTable`, `Split` and `Tree` are named tuples: immutable, equal field
+by field, and safe to share across threads (no code changes the dict of
+a tree's inner lengths once the tree holds it).  A `Node` is the vertex
+of the explicit topology that `tree_topology` builds by mutation, and
+each call builds new ones.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -46,26 +47,39 @@ class InvalidTreeError(ValueError):
 _NAME_STOP = frozenset("(),:;")
 
 
-@dataclass(frozen=True)
-class TaxonTable:
-    """Ordered, distinct taxon labels; index 0 is the outgroup leaf."""
-
+class _TaxonFields(NamedTuple):
     names: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        if len(self.names) < 4:
-            raise ValueError(f"need at least 4 taxa, got {len(self.names)}")
-        if len(set(self.names)) != len(self.names):
+
+class TaxonTable(_TaxonFields):
+    """Ordered, distinct taxon labels; index 0 is the outgroup leaf."""
+
+    __slots__ = ()
+
+    def __new__(cls, names):
+        names = tuple(names)
+        if len(names) < 4:
+            raise ValueError(f"need at least 4 taxa, got {len(names)}")
+        if len(set(names)) != len(names):
             raise ValueError("duplicate taxon label")
-        for name in self.names:
+        for name in names:
             # a label must read back from Newick as itself
             if not name or name != name.strip() or not _NAME_STOP.isdisjoint(name):
                 raise ValueError(f"taxon label {name!r} is empty, padded or holds one of (),:;")
+        return tuple.__new__(cls, (names,))
 
     @property
     def size(self) -> int:
         return len(self.names)
+
+
+def canonical_taxa(names, outgroup: str | None) -> TaxonTable:
+    """The table serializations re-parse to: the outgroup (by default the
+    first name) as leaf 0, the rest sorted.  The caller checks that the
+    outgroup is one of the names."""
+    if outgroup is None:
+        outgroup = names[0]
+    return TaxonTable((outgroup, *sorted(n for n in names if n != outgroup)))
 
 
 class _SplitFields(NamedTuple):
@@ -117,18 +131,20 @@ def compatible(a: Split, b: Split) -> bool:
     return meet == 0 or meet == a.bits or meet == b.bits
 
 
-@dataclass(frozen=True, eq=False)
-class Tree:
-    """A metric n-tree: taxa, leaf edge lengths, and inner splits with lengths."""
-
+class _TreeFields(NamedTuple):
     taxa: TaxonTable
     leaf_lengths: tuple[float, ...]
     inner: dict[Split, float]
 
-    def __post_init__(self):
+
+class Tree(_TreeFields):
+    """A metric n-tree: taxa, leaf edge lengths, and inner splits with lengths."""
+
+    __slots__ = ()
+
+    def __new__(cls, taxa: TaxonTable, leaf_lengths, inner):
         # the caller may go on to change what it passed
-        object.__setattr__(self, "leaf_lengths", tuple(self.leaf_lengths))
-        object.__setattr__(self, "inner", dict(self.inner))
+        return tuple.__new__(cls, (taxa, tuple(leaf_lengths), dict(inner)))
 
     @classmethod
     def _adopt(cls, taxa: TaxonTable, leaf_lengths: tuple[float, ...],
@@ -136,12 +152,7 @@ class Tree:
         """A tree that keeps the tuple and dict it is handed, uncopied: for
         callers that built them for this tree, or took them from another
         tree, and change them no more."""
-        tree = object.__new__(cls)
-        fields = tree.__dict__
-        fields["taxa"] = taxa
-        fields["leaf_lengths"] = leaf_lengths
-        fields["inner"] = inner
-        return tree
+        return tuple.__new__(cls, (taxa, leaf_lengths, inner))
 
     def with_leaf_length(self, leaf: int, length: float) -> "Tree":
         lengths = list(self.leaf_lengths)
@@ -160,15 +171,6 @@ class Tree:
         length = inner.pop(old)
         inner[new] = length
         return Tree._adopt(self.taxa, self.leaf_lengths, inner)
-
-    def __eq__(self, other):
-        if not isinstance(other, Tree):
-            return NotImplemented
-        return (
-            self.taxa == other.taxa
-            and self.leaf_lengths == other.leaf_lengths
-            and self.inner == other.inner
-        )
 
 
 def _length_problems(tree: Tree) -> list[str]:
@@ -404,13 +406,9 @@ def parse_newick(
         if outgroup is not None and outgroup != taxa.names[0]:
             raise NewickError(f"outgroup {outgroup!r} is not leaf 0 of the taxon table")
     else:
-        # canonical table: outgroup (or the first-listed taxon) first, the
-        # rest sorted, so that serializations re-parse to the same table
-        if outgroup is None:
-            outgroup = names[0]
-        elif outgroup not in names:
+        if outgroup is not None and outgroup not in names:
             raise NewickError(f"outgroup {outgroup!r} not among the taxa")
-        taxa = TaxonTable((outgroup, *sorted(n for n in names if n != outgroup)))
+        taxa = canonical_taxa(names, outgroup)
 
     n_leaves = taxa.size
     full = (1 << n_leaves) - 1

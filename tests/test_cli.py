@@ -18,7 +18,7 @@ from bhvphylo import __version__
 from bhvphylo.cli import COMMANDS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from bhvphylo.geodesic import distance
 from bhvphylo.phylo_model import ColumnLikelihoodError
-from bhvphylo.treespace import load_samples, parse_newick
+from bhvphylo.treespace import NewickError, load_samples, parse_newick
 
 from conftest import trees_close
 from oracles import reference_parser
@@ -223,6 +223,26 @@ class TestSample:
         assert manifest["parameters"]["seed"] == 3
         assert manifest["taxa"][0] == "O"
         assert manifest["python"] == platform.python_version()
+
+    def test_manifest_parameters_are_the_options_but_out(self, samples_file, tmp_path):
+        manifest = json.loads((tmp_path / "run.manifest.json").read_text())
+        options = [name[2:] for name in COMMANDS["sample"].options if name != "--out"]
+        assert sorted(manifest["parameters"]) == sorted(options)
+        assert manifest["parameters"]["outgroup"] == "O"
+
+    @pytest.mark.parametrize("outgroup", [None, "C"])
+    def test_fasta_and_newick_give_one_taxon_table(self, tmp_path, outgroup):
+        fasta = tmp_path / "aln.fasta"
+        write_fasta(fasta, [(name, "ACGT") for name in ("D", "O", "B", "A", "C")])
+        newick = "(((D:0.1,O:0.1):0.1,B:0.1):0.1,A:0.1,C:0.1);"
+        taxa = cli.alignment_from_fasta(fasta, outgroup).taxa
+        assert taxa == parse_newick(newick, outgroup=outgroup).taxa
+        assert taxa.names[0] == (outgroup or "D")
+        assert list(taxa.names[1:]) == sorted(taxa.names[1:])
+        with pytest.raises(cli.InputError, match="not among the sequences"):
+            cli.alignment_from_fasta(fasta, "X")
+        with pytest.raises(NewickError, match="not among the taxa"):
+            parse_newick(newick, outgroup="X")
 
     def test_reproducible_byte_for_byte(self, tmp_path, demo_fasta):
         args = [
@@ -487,6 +507,20 @@ class TestEstimators:
         path.write_text(DEMO_TREE + "\n" + DEMO_TREE + DEMO_TREE + "\n")
         assert main(["mean", str(path), "--seed", "1"]) == EXIT_INPUT
         assert "line 2: unexpected text after ';'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mean", "median"])
+    def test_a_huge_tolerance_stops_after_one_pass(self, command, tmp_path, capsys):
+        path = tmp_path / "trees.nwk"
+        path.write_text(
+            "((A:0.10,B:0.20):0.05,C:0.30,O:0.10);\n"
+            "((A:0.14,C:0.24):0.09,B:0.34,O:0.14);\n"
+            "((B:0.18,C:0.28):0.13,A:0.38,O:0.18);\n"
+        )
+        outputs = []
+        for extra in (["--steps", "3"], ["--steps", "300", "--tolerance", "1e9"]):
+            assert main([command, str(path), "--seed", "2", *extra]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("command", ["mean", "median"])
     @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -201,6 +201,25 @@ class TestMean:
         assert distance(fast, full) < 1e-2
 
 
+class TestTolerance:
+    """The early stop compares the iterate after each pass over the trees
+    with the one a pass before."""
+
+    @pytest.mark.parametrize("estimator", [mean, median])
+    def test_a_huge_tolerance_stops_after_the_first_pass(self, estimator, rng):
+        trees = [random_tree(make_taxa(6), rng) for _ in range(5)]
+        one_pass = estimator(trees, EstimatorConfig(iterations=5, seed=3))
+        stopped = estimator(trees, EstimatorConfig(iterations=50, seed=3, tolerance=1e9))
+        assert stopped == one_pass
+        assert stopped != estimator(trees, EstimatorConfig(iterations=50, seed=3))
+
+    @pytest.mark.parametrize("estimator", [mean, median])
+    def test_a_tiny_tolerance_never_stops(self, estimator, rng):
+        trees = [random_tree(make_taxa(6), rng) for _ in range(5)]
+        tiny = estimator(trees, EstimatorConfig(iterations=200, seed=3, tolerance=1e-300))
+        assert tiny == estimator(trees, EstimatorConfig(iterations=200, seed=3))
+
+
 class TestVariance:
     def test_zero_spread(self, rng):
         tree = random_tree(make_taxa(5), rng)

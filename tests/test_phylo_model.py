@@ -480,7 +480,7 @@ class TestPlanCache:
         for _ in range(phylo_model._PLAN_CAPACITY):
             value(random_tree(taxa, rng))
         assert len(aln.plans) == phylo_model._PLAN_CAPACITY
-        assert frozenset(s.bits for s in tree.inner) not in {k[0] for k in aln.plans}
+        assert frozenset(tree.inner) not in {k[0] for k in aln.plans}
         assert value(tree) == first
 
     def test_alignments_and_priors_never_share_a_plan(self, rng):
