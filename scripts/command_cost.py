@@ -12,6 +12,14 @@ directory: `simulate` writes a 5-taxon alignment of 200 columns, `sample`
 runs one chain of 60 iterations on it, and the estimators take 600 steps
 on its 48 samples.
 
+First the script prints what every command pays before `main` runs, the
+cold `import bhvphylo.cli`: the median and range of its wall time over
+IMPORT_REPEATS fresh interpreters, then each package module's self time
+(median over as many interpreters run with `-X importtime`), the
+package's total and that of the other modules the import loads.  Fresh
+interpreters compile the package's source unless a bytecode cache is
+written and read, so the figures depend on PYTHONDONTWRITEBYTECODE.
+
 For each command the script prints the median wall time of `main` over
 REPEATS forks and the modules the command imported that `import
 bhvphylo.cli` had not.  A module that a newly imported module imported is
@@ -29,6 +37,7 @@ import json
 import os
 import shutil
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -42,6 +51,15 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import bhvphylo.cli as cli  # noqa: E402
 
 REPEATS = 5
+IMPORT_REPEATS = 9
+# the marker separates the interpreter's own start-up imports from the probe's
+IMPORT_PROBE = (
+    "import sys, time\n"
+    "sys.stderr.write('-- probe\\n'); sys.stderr.flush()\n"
+    "start = time.perf_counter()\n"
+    "import bhvphylo.cli\n"
+    "print(time.perf_counter() - start)\n"
+)
 TREE = "((A:0.1,B:0.2):0.05,(C:0.3,D:0.1):0.07,O:0.1);"
 OTHER = "((A:0.1,C:0.2):0.05,(B:0.3,D:0.1):0.07,O:0.1);"
 
@@ -134,7 +152,47 @@ def run_in_fork(argv: list[str], out_path: str) -> dict:
     return json.loads(b"".join(chunks))
 
 
+def fresh_import(*flags: str) -> subprocess.CompletedProcess:
+    """Run IMPORT_PROBE in a new interpreter started with `flags`."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, *flags, "-c", IMPORT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def module_self_times(importtime: str) -> dict[str, float]:
+    """Self seconds of each module the probe imported, from the
+    `-X importtime` lines ("import time: self | cumulative | name")."""
+    times = {}
+    for line in importtime.split("-- probe\n", 1)[1].splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[0].strip().isdigit():
+            times[fields[2].strip()] = int(fields[0]) * 1e-6
+    return times
+
+
+def print_import_cost() -> None:
+    wall = sorted(float(fresh_import().stdout) for _ in range(IMPORT_REPEATS))
+    runs = [module_self_times(fresh_import("-X", "importtime").stderr)
+            for _ in range(IMPORT_REPEATS)]
+    package = sorted(name for name in runs[0] if name.split(".")[0] == "bhvphylo")
+
+    def median_ms(names) -> float:
+        return 1e3 * statistics.median(sum(run.get(n, 0.0) for n in names) for run in runs)
+
+    print(f"import bhvphylo.cli: {1e3 * statistics.median(wall):.1f} ms median of "
+          f"{IMPORT_REPEATS} fresh interpreters ({1e3 * wall[0]:.1f}-{1e3 * wall[-1]:.1f}), "
+          f"bytecode cache {'off' if os.environ.get('PYTHONDONTWRITEBYTECODE') else 'on'}")
+    print(f"{'module (self time)':<24} {'ms':>8}")
+    for name in package:
+        print(f"{name:<24} {median_ms([name]):8.1f}")
+    print(f"{'bhvphylo, all modules':<24} {median_ms(package):8.1f}")
+    others = {name for run in runs for name in run} - set(package)
+    print(f"{'other modules':<24} {median_ms(others):8.1f}")
+    print()
+
+
 def main() -> None:
+    print_import_cost()
     work = tempfile.mkdtemp(prefix="command_cost_")
     try:
         print(f"{'command':<12} {'ms':>8}  lazy imports (modules brought in)")

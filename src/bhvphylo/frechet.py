@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .geodesic import distance, geodesic
 from .treespace import Tree, common_taxa
@@ -24,16 +23,20 @@ from .treespace import Tree, common_taxa
 _CLEANUP_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
-    """Iteration controls shared by mean and median."""
-
+class _EstimatorFields(NamedTuple):
     order: str = "random"
     iterations: int | None = None  # None means 1000 * len(trees)
     seed: int = 0
     tolerance: float = 0.0  # early stop on displacement; 0 disables
 
-    def __post_init__(self):
+
+class EstimatorConfig(_EstimatorFields):
+    """Iteration controls shared by mean and median."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.order not in ("random", "cyclic"):
             raise ValueError(f"order must be 'random' or 'cyclic', got {self.order!r}")
         if self.iterations is not None and self.iterations < 1:
@@ -42,6 +45,7 @@ class EstimatorConfig:
             raise ValueError("tolerance must be finite and nonnegative")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        return self
 
 
 def _drop_tiny_splits(tree: Tree) -> Tree:

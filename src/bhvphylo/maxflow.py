@@ -30,31 +30,34 @@ the sink takes every neighbour a with it and every edge is covered.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FlowNetwork:
+class _FlowFields(NamedTuple):
+    a_weights: tuple[float, ...]
+    b_weights: tuple[float, ...]
+    edges: tuple[tuple[int, int], ...]
+
+
+class FlowNetwork(_FlowFields):
     """Vertex weights for the two sides plus the incompatibility edges.
 
     Any sequences are accepted and copied into tuples (the edges into a
     tuple of pairs), so a network is immutable and hashable.
     """
 
-    a_weights: tuple[float, ...]
-    b_weights: tuple[float, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_weights", tuple(self.a_weights))
-        object.__setattr__(self, "b_weights", tuple(self.b_weights))
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        if any(w < 0 for w in self.a_weights) or any(w < 0 for w in self.b_weights):
+    def __new__(cls, a_weights, b_weights, edges):
+        a_weights, b_weights = tuple(a_weights), tuple(b_weights)
+        edges = tuple(map(tuple, edges))
+        if any(w < 0 for w in a_weights) or any(w < 0 for w in b_weights):
             raise ValueError("vertex weights must be nonnegative")
-        na, nb = len(self.a_weights), len(self.b_weights)
-        for i, j in self.edges:
+        na, nb = len(a_weights), len(b_weights)
+        for i, j in edges:
             if not (0 <= i < na and 0 <= j < nb):
                 raise ValueError(f"edge ({i},{j}) out of range")
+        return tuple.__new__(cls, (a_weights, b_weights, edges))
 
 
 def max_flow(net: FlowNetwork) -> tuple[float, tuple[frozenset[int], frozenset[int]]]:

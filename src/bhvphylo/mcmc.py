@@ -8,7 +8,9 @@ quartet resolutions at the same length.  Both moves have unit Hastings
 ratio, so acceptance only compares unnormalized log posteriors.  The
 chain loop owns a `random.Random(seed)`, the package's one generator,
 and passes it to each step, so a `ChainState` is a snapshot.  Chains
-are independent and fully deterministic given their seeds.
+are independent and fully deterministic given their seeds.  Configs,
+states and trace rows are named tuples; the configs check their values
+in `__new__`.
 
 Every state is a binary tree: the posterior's mass lies on the binary,
 top-dimensional orthants, and neither move changes the number of inner
@@ -19,13 +21,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .phylo_model import Alignment, DirichletPrior, GammaPrior, log_posterior
 from .treespace import (
     Split,
     Tree,
+    _length_problems,
     check,
     random_binary_splits,
     serialize_newick,
@@ -48,23 +50,27 @@ class ChainAbortError(RuntimeError):
         self.newick = newick
 
 
-@dataclass(frozen=True)
-class ProposalConfig:
+class _ProposalFields(NamedTuple):
     tau: float = 0.9        # probability of a within-orthant length move
     sigma: float = 0.05     # stddev of the reflected normal length proposal
     seed: int = 0
 
-    def __post_init__(self):
+
+class ProposalConfig(_ProposalFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie strictly between 0 and 1")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and positive")
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     chains: int = 1
     iterations: int = 20000
     burn_in: int = 4000
@@ -73,7 +79,12 @@ class RunConfig:
     dirichlet: DirichletPrior = DirichletPrior()
     gamma: GammaPrior = GammaPrior()
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.chains < 1:
             raise ValueError("chains must be positive")
         if self.iterations < 1:
@@ -82,17 +93,16 @@ class RunConfig:
             raise ValueError("burn_in must be in [0, iterations)")
         if self.thin < 1:
             raise ValueError("thin must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class ChainState:
+class ChainState(NamedTuple):
     """A snapshot of one chain: its current tree and that tree's log posterior."""
     current: Tree
     log_post: float
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     log_posterior: float
     accepted: bool
     move: str
@@ -177,13 +187,18 @@ def mh_step(
 
 
 def initial_tree(alignment: Alignment, run: RunConfig, rng: random.Random) -> Tree:
-    """Random chain start: uniform random binary topology, prior-drawn lengths."""
+    """Random chain start: uniform random binary topology, prior-drawn lengths;
+    ArithmeticError when a draw overflows to inf or underflows to 0."""
     n_leaves = alignment.taxa.size
     splits = random_binary_splits(n_leaves, rng)
     shape, scale = run.gamma.shape, run.gamma.scale
     leaf_lengths = tuple(rng.gammavariate(shape, scale) for _ in range(n_leaves))
     inner = {s: rng.gammavariate(shape, scale) for s in sorted(splits)}
-    return check(Tree(alignment.taxa, leaf_lengths, inner))
+    tree = Tree(alignment.taxa, leaf_lengths, inner)
+    problems = _length_problems(tree)
+    if problems:
+        raise ArithmeticError(f"gamma prior draw gave a {problems[0]}")
+    return check(tree)
 
 
 def run_chain(

@@ -31,7 +31,9 @@ edge and runs a fixed handful of numpy operations: two multiplies and an
 then gives each column's log likelihood.  Each `Alignment` keeps its plans in a small
 least-recently-used cache keyed by split set and Dirichlet pseudocounts,
 so a length move, and the step after a rejected NNI, reuses a plan and
-builds no topology.  Memory stays bounded whatever the alignment's
+builds no topology.  That cache is why an `Alignment` is a slotted class
+and not a named tuple like the priors: it changes, and alignments are
+equal by taxa and columns alone.  Memory stays bounded whatever the alignment's
 length: patterns are compiled in blocks of bounded size, and a plan too
 large for the cache (from about 24 columns at 64 taxa) is compiled
 again at every call, one block at a time.  Coefficients are rescaled by
@@ -45,7 +47,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,29 +77,36 @@ def encode_symbol(symbol: str) -> int:
     return GAP
 
 
-@dataclass(frozen=True)
 class Alignment:
-    """Aligned columns over the taxa, with duplicate columns counted once."""
+    """Aligned columns over the taxa, with duplicate columns counted once.
+    Equality and hashing see the taxa and columns only, not the caches."""
 
-    taxa: TaxonTable
-    columns: tuple[tuple[int, ...], ...]
-    # distinct columns in order of first occurrence, with multiplicities
-    pattern_index: dict[tuple[int, ...], int] = field(init=False, compare=False)
-    # compiled pruning plans by topology, least recently used first (see `_plans`)
-    plans: OrderedDict = field(init=False, compare=False, repr=False)
+    __slots__ = ("taxa", "columns", "pattern_index", "plans")
 
-    def __post_init__(self):
+    def __init__(self, taxa: TaxonTable, columns: tuple[tuple[int, ...], ...]):
         patterns: dict[tuple[int, ...], int] = {}
-        for column in self.columns:
-            if len(column) != self.taxa.size:
+        for column in columns:
+            if len(column) != taxa.size:
                 raise ValueError(
-                    f"column has {len(column)} symbols, expected {self.taxa.size}"
+                    f"column has {len(column)} symbols, expected {taxa.size}"
                 )
             if any(not 0 <= x < N_SYMBOLS for x in column):
                 raise ValueError("symbol index outside the alphabet")
             patterns[column] = patterns.get(column, 0) + 1
-        object.__setattr__(self, "pattern_index", patterns)
-        object.__setattr__(self, "plans", OrderedDict())
+        self.taxa = taxa
+        self.columns = columns
+        # distinct columns in order of first occurrence, with multiplicities
+        self.pattern_index = patterns
+        # compiled pruning plans by topology, least recently used first (see `_plans`)
+        self.plans = OrderedDict()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.taxa, self.columns) == (other.taxa, other.columns)
+
+    def __hash__(self):
+        return hash((self.taxa, self.columns))
 
     @classmethod
     def from_columns(cls, taxa: TaxonTable, columns) -> "Alignment":
@@ -122,30 +131,39 @@ class Alignment:
         return len(self.columns)
 
 
-@dataclass(frozen=True)
-class DirichletPrior:
-    """Pseudocounts of the Dirichlet prior on the stationary distribution."""
-
+class _DirichletFields(NamedTuple):
     alpha: tuple[float, ...] = (0.2,) * N_SYMBOLS
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.alpha) != N_SYMBOLS:
+
+class DirichletPrior(_DirichletFields):
+    """Pseudocounts of the Dirichlet prior on the stationary distribution."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        alpha = tuple(float(a) for a in super().__new__(cls, *args, **kwargs).alpha)
+        if len(alpha) != N_SYMBOLS:
             raise ValueError(f"need {N_SYMBOLS} pseudocounts")
-        if not all(0.0 < a < math.inf for a in self.alpha):
+        if not all(0.0 < a < math.inf for a in alpha):
             raise ValueError("pseudocounts must be finite and positive")
+        return tuple.__new__(cls, (alpha,))
 
 
-@dataclass(frozen=True)
-class GammaPrior:
-    """Gamma prior on every edge length (shape/scale convention)."""
-
+class _GammaFields(NamedTuple):
     shape: float = 1.0
     scale: float = 0.1
 
-    def __post_init__(self):
+
+class GammaPrior(_GammaFields):
+    """Gamma prior on every edge length (shape/scale convention)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (0.0 < self.shape < math.inf and 0.0 < self.scale < math.inf):
             raise ValueError("shape and scale must be finite and positive")
+        return self
 
     def log_density(self, length: float) -> float:
         if length <= 0:
@@ -210,7 +228,6 @@ _BLOCK_PAIRS = 2**21
 _CACHE_PAIRS = 2**22
 
 
-@dataclass(frozen=True, eq=False)
 class _Plan:
     """The pruning of one topology for a block of patterns, as index arrays.
 
@@ -227,15 +244,20 @@ class _Plan:
     cell of each pattern in the parent state afterwards.
     """
 
-    splits: tuple[Split, ...]
-    first: int                  # index of the block's first pattern in `pattern_index`
-    pairs: int                  # state-message pairs the folds examine
-    edges: tuple[tuple, ...]
-    leaf_state: np.ndarray      # one cell per pattern: its leaf's symbol, coefficient 1
-    closing: np.ndarray         # root cell -> final cell, as the open component closes
-    starts: np.ndarray          # first final cell of each pattern
-    cell_pattern: np.ndarray    # the pattern of each final cell, within the block
-    log_moments: np.ndarray     # each final cell's Dirichlet moment, in logs
+    __slots__ = ("splits", "first", "pairs", "edges", "leaf_state", "closing",
+                 "starts", "cell_pattern", "log_moments", "__weakref__")
+
+    def __init__(self, splits, first, pairs, edges, leaf_state, closing, starts,
+                 cell_pattern, log_moments):
+        self.splits = splits              # tuple of Splits
+        self.first = first                # index of the block's first pattern in `pattern_index`
+        self.pairs = pairs                # state-message pairs the folds examine
+        self.edges = edges
+        self.leaf_state = leaf_state      # one cell per pattern: its leaf's symbol, coefficient 1
+        self.closing = closing            # root cell -> final cell, as the open component closes
+        self.starts = starts              # first final cell of each pattern
+        self.cell_pattern = cell_pattern  # the pattern of each final cell, within the block
+        self.log_moments = log_moments    # each final cell's Dirichlet moment, in logs
 
 
 class _BlockTooLarge(Exception):

@@ -9,15 +9,14 @@ same samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .treespace import Split, Tree, check, common_taxa
 
 DEFAULT_BINS = 50
 
 
-@dataclass(frozen=True)
-class SplitStats:
+class SplitStats(NamedTuple):
     split: Split
     frequency: float
     mean_length: float

@@ -99,7 +99,7 @@ class TestImport:
         # every draw comes from the standard library's `random`, so none
         # of the nine commands loads the 16 modules of numpy.random.  No
         # command parses its arguments with argparse, whose messages
-        # import gettext and locale.
+        # import gettext and locale, and no record is a dataclass.
         samples = tmp_path / "trees.nwk"
         samples.write_text(
             DEMO_TREE + "\n"
@@ -108,17 +108,18 @@ class TestImport:
         )
         probe = (
             "import sys, bhvphylo.cli\n"
-            "def parsing():\n"
-            "    return [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules]\n"
+            "def stray():\n"
+            "    unwanted = ('argparse', 'gettext', 'locale', 'dataclasses')\n"
+            "    return [m for m in unwanted if m in sys.modules]\n"
             "loaded = ['import'] if 'numpy.random' in sys.modules else []\n"
-            "parsed = ['import'] if parsing() else []\n"
+            "strays = ['import'] if stray() else []\n"
             "for command in ('mean', 'median', 'compare', 'consensus', 'splits'):\n"
             "    steps = ['--steps', '30'] if command in ('mean', 'median', 'compare') else []\n"
             "    assert bhvphylo.cli.main([command, sys.argv[1]] + steps) == 0\n"
             "    if 'numpy.random' in sys.modules:\n"
             "        loaded.append(command)\n"
-            "    if parsing():\n"
-            "        parsed.append(command)\n"
+            "    if stray():\n"
+            "        strays.append(command)\n"
             "tree = " + repr(DEMO_TREE) + "\n"
             "fasta, run = sys.argv[2] + '.fasta', sys.argv[2] + '.run'\n"
             "for argv in (['distance', tree, tree], ['interpolate', tree, tree, '--lambda', '0.5'],\n"
@@ -127,9 +128,9 @@ class TestImport:
             "    assert bhvphylo.cli.main(argv) == 0\n"
             "    if 'numpy.random' in sys.modules:\n"
             "        loaded.append(argv[0])\n"
-            "    if parsing():\n"
-            "        parsed.append(argv[0])\n"
-            "print('parsed', parsed, file=sys.stderr)\n"
+            "    if stray():\n"
+            "        strays.append(argv[0])\n"
+            "print('stray', strays, file=sys.stderr)\n"
             "print('loaded', loaded, file=sys.stderr)\n"
         )
         src = os.path.dirname(os.path.dirname(cli.__file__))
@@ -140,7 +141,7 @@ class TestImport:
             text=True,
             check=True,
         )
-        assert result.stderr.splitlines()[-2] == "parsed []"
+        assert result.stderr.splitlines()[-2] == "stray []"
         assert result.stderr.splitlines()[-1] == "loaded []"
 
 
@@ -364,6 +365,22 @@ class TestSample:
             assert trace
             for row in trace:
                 assert math.isfinite(float(row.split(",")[2]))
+
+    @pytest.mark.parametrize("option,value", [("--scale", "1e308"), ("--shape", "1e-320")])
+    def test_a_start_tree_the_prior_cannot_draw_is_a_numerical_failure(
+        self, option, value, tmp_path, demo_fasta, capsys
+    ):
+        # both priors are valid, but their draws overflow to inf or
+        # underflow to 0: no tree the user gave is at fault
+        rc = main(
+            ["sample", str(demo_fasta), "--out", str(tmp_path / "x"), "--seed", "1",
+             "--iters", "5", "--burnin", "1", option, value]
+        )
+        assert rc == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: gamma prior draw gave a non-positive")
+        assert re.search(r"length on (leaf|inner) edge", err)
+        assert not (tmp_path / "x.samples").exists()
 
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(

@@ -180,6 +180,19 @@ class TestAlignment:
             ((1, 1, 1, 1), 2), ((0, 0, 0, 0), 1), ((2, 0, 0, 0), 1)
         ]
 
+    def test_equal_and_hashed_alike_whatever_their_plan_caches_hold(self, rng):
+        taxa = make_taxa(5)
+        columns = [random_column(rng, 5) for _ in range(6)]
+        warm = Alignment.from_columns(taxa, columns)
+        while len(warm.plans) < phylo_model._PLAN_CAPACITY:
+            log_likelihood(random_tree(taxa, rng), warm, DirichletPrior())
+        cold = Alignment.from_columns(taxa, columns)
+        assert not cold.plans
+        assert warm == cold and hash(warm) == hash(cold)
+        assert {cold: "cold"}[warm] == "cold"
+        assert warm != Alignment.from_columns(taxa, columns[1:])
+        assert warm != (taxa, tuple(columns))
+
     def test_empty_alignment_allowed(self):
         taxa = make_taxa(4)
         aln = Alignment.from_columns(taxa, [])
