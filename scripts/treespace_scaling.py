@@ -134,7 +134,7 @@ def proximal_step(s: Tree, t: Tree, eta: float | None) -> None:
     """One step of the walk from s toward t; eta is None where the two
     trees are equal and the walk takes no step."""
     path = geodesic(s, t)
-    if path.distance() > 0.0:
+    if path.length > 0.0:
         path.point(eta)
 
 

@@ -22,14 +22,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .frechet import EstimatorConfig, mean, median, variance
 from .geodesic import distance, interpolate
-from .mcmc import (
-    ChainAbortError,
-    ProposalConfig,
-    RunConfig,
-    kept_iterations,
-    run,
-    trace_csv_lines,
-)
+from .mcmc import ProposalConfig, RunConfig, kept_iterations, run, trace_csv_lines
 from .phylo_model import (
     ALPHABET,
     Alignment,
@@ -158,7 +151,7 @@ def cmd_sample(args) -> int:
         "command": "sample",
         "input": {"path": str(args.fasta), "sha256": _sha256(args.fasta)},
         "taxa": list(alignment.taxa.names),
-        "columns": alignment.n_columns,
+        "columns": len(alignment.columns),
         "parameters": parameters,
         "chain_seeds": [args.seed + c for c in range(args.chains)],
         "python": platform.python_version(),
@@ -183,15 +176,6 @@ def _write_lines(path, lines) -> None:
             handle.write("\n")
 
 
-def _estimator_config(args) -> EstimatorConfig:
-    return EstimatorConfig(
-        order=args.order,
-        iterations=args.steps,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
-
-
 def _load_trees(path) -> list[Tree]:
     trees = load_samples(path)
     if not trees:
@@ -200,7 +184,9 @@ def _load_trees(path) -> list[Tree]:
 
 
 def _print_estimate(args, estimator) -> int:
-    config = _estimator_config(args)
+    config = EstimatorConfig(
+        order=args.order, iterations=args.steps, seed=args.seed, tolerance=args.tolerance
+    )
     trees = _load_trees(args.samples)
     estimate = estimator(trees, config)
     # a numerical failure in the variance must not leave a printed estimate
@@ -573,7 +559,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ArithmeticError, ChainAbortError) as exc:
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

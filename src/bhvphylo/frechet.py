@@ -68,7 +68,7 @@ def _iterates(trees, cfg: EstimatorConfig, step_size) -> Iterator[Tree]:
             pick = i % count
         target = trees[pick]
         path = geodesic(current, target)
-        dist = path.distance()
+        dist = path.length
         if dist > 0.0:
             current = path.point(step_size(i, dist))
         yield current

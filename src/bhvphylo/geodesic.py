@@ -84,8 +84,8 @@ class GeodesicPath(_PathFields):
     """A geodesic of finite length; building one whose squared length
     overflows raises ArithmeticError, so no caller walks or measures it.
 
-    The constructor takes the first five fields and works out `length`
-    from them.
+    The constructor takes the first five fields and works out `length`,
+    the geodesic distance between the endpoints, from them.
     """
 
     __slots__ = ()
@@ -104,9 +104,6 @@ class GeodesicPath(_PathFields):
 
     def __getnewargs__(self):
         return self[:5]
-
-    def distance(self) -> float:
-        return self.length
 
     def point(self, lam: float) -> Tree:
         """The tree at parameter lam in [0,1]; endpoints are returned exactly."""
@@ -350,7 +347,7 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
 
 def distance(s: Tree, t: Tree) -> float:
     """BHV geodesic distance between two trees over the same taxa."""
-    return geodesic(s, t).distance()
+    return geodesic(s, t).length
 
 
 def interpolate(s: Tree, t: Tree, lam: float) -> Tree:

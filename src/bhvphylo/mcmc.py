@@ -5,16 +5,18 @@ move (pick any edge, draw a new length from a normal centered at the
 current one, reflected at zero), otherwise a nearest-neighbor
 interchange that swaps one inner edge for one of the two alternative
 quartet resolutions at the same length.  Both moves have unit Hastings
-ratio, so acceptance only compares unnormalized log posteriors.  The
-chain loop owns a `random.Random(seed)`, the package's one generator,
-and passes it to each step, so a `ChainState` is a snapshot.  Chains
-are independent and fully deterministic given their seeds.  Configs,
-states and trace rows are named tuples; the configs check their values
-in `__new__`.
+ratio, so acceptance only compares unnormalized log posteriors.  `run`
+gives each chain its own `random.Random(seed)`, the package's one
+generator, and passes it to each step, so a `ChainState` is a snapshot.
+Chains are independent and fully deterministic given their seeds.
+Configs, states and trace rows are named tuples; the configs check their
+values in `__new__`.  A target evaluation that fails with an
+ArithmeticError, at the start tree or at a candidate, is raised again as
+an ArithmeticError that names the tree.
 
 Every state is a binary tree: the posterior's mass lies on the binary,
 top-dimensional orthants, and neither move changes the number of inner
-splits, so `run_chain` rejects a start with fewer.
+splits, so `run` rejects a start with fewer.
 """
 
 from __future__ import annotations
@@ -27,11 +29,11 @@ from .phylo_model import Alignment, DirichletPrior, GammaPrior, log_posterior
 from .treespace import (
     Split,
     Tree,
-    _length_problems,
     check,
     random_binary_splits,
     serialize_newick,
     tree_topology,
+    validate,
 )
 
 LENGTH_MOVE = "length"
@@ -40,14 +42,6 @@ NNI_MOVE = "nni"
 
 class PolytomyError(ValueError):
     """NNI requested across an edge whose endpoints are not both binary."""
-
-
-class ChainAbortError(RuntimeError):
-    """Posterior evaluation failed mid-chain; carries the offending tree."""
-
-    def __init__(self, newick: str, cause: Exception):
-        super().__init__(f"posterior evaluation failed on {newick}: {cause}")
-        self.newick = newick
 
 
 class _ProposalFields(NamedTuple):
@@ -162,6 +156,15 @@ def propose(tree: Tree, rng: random.Random, cfg: ProposalConfig) -> tuple[Tree, 
     return nni_neighbors(tree, edge)[rng.randrange(2)], NNI_MOVE
 
 
+def _evaluate(log_target: Callable[[Tree], float], tree: Tree) -> float:
+    try:
+        return log_target(tree)
+    except ArithmeticError as exc:
+        raise ArithmeticError(
+            f"posterior evaluation failed on {serialize_newick(tree)}: {exc}"
+        ) from exc
+
+
 def mh_step(
     state: ChainState,
     rng: random.Random,
@@ -171,10 +174,7 @@ def mh_step(
     """One Metropolis-Hastings transition from `state`, drawing from `rng`;
     the trace row reports the outcome."""
     candidate, move = propose(state.current, rng, cfg)
-    try:
-        candidate_post = log_target(candidate)
-    except ArithmeticError as exc:
-        raise ChainAbortError(serialize_newick(candidate), exc) from exc
+    candidate_post = _evaluate(log_target, candidate)
     log_ratio = candidate_post - state.log_post
     if log_ratio >= 0.0:
         accepted = True
@@ -195,40 +195,10 @@ def initial_tree(alignment: Alignment, run: RunConfig, rng: random.Random) -> Tr
     leaf_lengths = tuple(rng.gammavariate(shape, scale) for _ in range(n_leaves))
     inner = {s: rng.gammavariate(shape, scale) for s in sorted(splits)}
     tree = Tree(alignment.taxa, leaf_lengths, inner)
-    problems = _length_problems(tree)
+    problems = validate(tree)
     if problems:
         raise ArithmeticError(f"gamma prior draw gave a {problems[0]}")
-    return check(tree)
-
-
-def run_chain(
-    alignment: Alignment,
-    run: RunConfig,
-    seed: int,
-    initial: Tree | None = None,
-    log_target: Callable[[Tree], float] | None = None,
-) -> tuple[list[Tree], list[TraceRow]]:
-    """One chain; returns the kept trees and the full trace.  The target
-    defaults to the posterior of `alignment` under the priors of `run`.
-    An `initial` tree that is not a valid binary tree raises ValueError."""
-    # neither move changes the split count: a lower start would stay lower
-    if initial is not None and len(check(initial).inner) < initial.taxa.size - 3:
-        raise ValueError("the chain must start at a binary tree")
-    if log_target is None:
-        def log_target(tree):
-            return log_posterior(tree, alignment, run.dirichlet, run.gamma)
-    rng = random.Random(seed)
-    tree = initial_tree(alignment, run, rng) if initial is None else initial
-    state = ChainState(tree, log_target(tree))
-    kept = kept_iterations(run)
-    samples: list[Tree] = []
-    trace: list[TraceRow] = []
-    for step in range(1, run.iterations + 1):
-        state, row = mh_step(state, rng, run.proposal, log_target)
-        trace.append(row)
-        if step in kept:
-            samples.append(state.current)
-    return samples, trace
+    return tree
 
 
 def run(
@@ -237,18 +207,30 @@ def run(
     initial: Tree | None = None,
     log_target: Callable[[Tree], float] | None = None,
 ) -> tuple[list[Tree], list[TraceRow]]:
-    """Run all chains; samples and traces are concatenated in chain order.
-
-    Chain c uses seed proposal.seed + c.
-    """
+    """Run all chains; returns the kept trees and the full traces,
+    concatenated in chain order.  Chain c draws from
+    `random.Random(proposal.seed + c)` and starts at `initial` or, if that
+    is None, at a tree drawn by `initial_tree`.  The target defaults to
+    the posterior of `alignment` under the priors of `config`.  An
+    `initial` tree that is not a valid binary tree raises ValueError."""
+    # neither move changes the split count: a lower start would stay lower
+    if initial is not None and len(check(initial).inner) < initial.taxa.size - 3:
+        raise ValueError("the chain must start at a binary tree")
+    if log_target is None:
+        def log_target(tree):
+            return log_posterior(tree, alignment, config.dirichlet, config.gamma)
+    kept = kept_iterations(config)
     samples: list[Tree] = []
     trace: list[TraceRow] = []
-    for index in range(config.chains):
-        chain_samples, chain_trace = run_chain(
-            alignment, config, config.proposal.seed + index, initial, log_target
-        )
-        samples.extend(chain_samples)
-        trace.extend(chain_trace)
+    for chain in range(config.chains):
+        rng = random.Random(config.proposal.seed + chain)
+        tree = initial_tree(alignment, config, rng) if initial is None else initial
+        state = ChainState(tree, _evaluate(log_target, tree))
+        for step in range(1, config.iterations + 1):
+            state, row = mh_step(state, rng, config.proposal, log_target)
+            trace.append(row)
+            if step in kept:
+                samples.append(state.current)
     return samples, trace
 
 

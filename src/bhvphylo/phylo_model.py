@@ -126,10 +126,6 @@ class Alignment:
         ]
         return cls.from_columns(taxa, columns)
 
-    @property
-    def n_columns(self) -> int:
-        return len(self.columns)
-
 
 class _DirichletFields(NamedTuple):
     alpha: tuple[float, ...] = (0.2,) * N_SYMBOLS
@@ -234,14 +230,16 @@ class _Plan:
     Vertex states live in slots: leaf i in slot i, the vertex of
     `splits[k]` in slot n + k, the root in the last slot (-1); a child's
     slot also indexes its edge length.  `edges` holds one step per non-root
-    vertex, in the order pruning visits them: (child, parent, dst,
-    n_message, fold, starts).  The child's message is
+    vertex, in the order pruning visits them: (child, parent, dst, fold,
+    starts).  The child's message is
     bincount(dst, [mut * child, stay * child]): on a mutation every cell
     closes its component, without one it stays as it is.  `fold` is None
     for a vertex's first child, whose message becomes the vertex state,
-    and otherwise (left, right, out, n_out) for
+    and otherwise (left, right, out) for
     bincount(out, parent[left] * message[right]).  `starts` is the first
-    cell of each pattern in the parent state afterwards.
+    cell of each pattern in the parent state afterwards.  Each index
+    array (`dst`, `out`, `closing`) maps onto every cell it fills, so a
+    bincount's length is the number of cells without being stored.
     """
 
     __slots__ = ("splits", "first", "pairs", "edges", "leaf_state", "closing",
@@ -344,7 +342,7 @@ def _compile(topology, patterns: list, first: int, alpha: tuple[float, ...],
             base[pattern] + np.minimum(a[keep], b[keep]) * size[pattern]
             + s_key[left] + m_key[right]
         )
-        return cells, (left, right, out, len(cells))
+        return cells, (left, right, out)
 
     splits: list[Split] = []
     edges: list[tuple] = []
@@ -360,7 +358,7 @@ def _compile(topology, patterns: list, first: int, alpha: tuple[float, ...],
         else:
             state, step = message, None
         states[slot] = state
-        edges.append((child_slot, slot, dst, len(message), step, np.searchsorted(state, base)))
+        edges.append((child_slot, slot, dst, step, np.searchsorted(state, base)))
     state = states[-1]
     final, closing = _distinct(closed(state))
     pattern, _, key = decode(final)
@@ -457,22 +455,22 @@ def _final_coefficients(plan: _Plan, lengths) -> tuple[np.ndarray, np.ndarray]:
     states = [plan.leaf_state] * n_slots
     floors = [1.0] * n_slots
     scale = np.zeros(len(plan.starts))
-    for child, parent, dst, n_message, fold, starts in plan.edges:
+    for child, parent, dst, fold, starts in plan.edges:
         mut = mutation_prob(lengths[child])
         below = states[child]
         weights = np.concatenate((mut * below, (1.0 - mut) * below))
-        message = np.bincount(dst, weights, n_message)
+        message = np.bincount(dst, weights)
         floor = floors[child] * mut * 0.5
         if fold is None:
             state = message
         else:
-            left, right, out, n_out = fold
-            state = np.bincount(out, states[parent][left] * message[right], n_out)
+            left, right, out = fold
+            state = np.bincount(out, states[parent][left] * message[right])
             floor = floors[parent] * floor
         if floor < _RESCALE_BELOW:
             floor = _rescale(state, starts, scale)
         states[parent], floors[parent] = state, floor
-    return np.bincount(plan.closing, states[-1], len(plan.cell_pattern)), scale
+    return np.bincount(plan.closing, states[-1]), scale
 
 
 def _pattern_log_likelihoods(

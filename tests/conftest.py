@@ -76,7 +76,7 @@ def assert_same_path(path, want):
         (p.a_side, p.b_side, p.a_norm.hex(), p.b_norm.hex()) for p in path.supports
     ] == [(p.a_side, p.b_side, p.a_norm.hex(), p.b_norm.hex()) for p in want.supports]
     assert [d.hex() for d in path.leaf_deltas] == [d.hex() for d in want.leaf_deltas]
-    assert path.distance().hex() == want.distance().hex()
+    assert path.length.hex() == want.length.hex()
 
 
 def trees_close(a: Tree, b: Tree, tol: float = 1e-12) -> bool:

@@ -14,11 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bhvphylo.cli as cli
+import bhvphylo.mcmc as mcmc
 from bhvphylo import __version__
 from bhvphylo.cli import COMMANDS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from bhvphylo.geodesic import distance
 from bhvphylo.phylo_model import ColumnLikelihoodError
-from bhvphylo.treespace import NewickError, load_samples, parse_newick
+from bhvphylo.treespace import NewickError, Tree, load_samples, parse_newick, serialize_newick
 
 from conftest import trees_close
 from oracles import reference_parser
@@ -167,6 +168,11 @@ class TestSimulate:
             assert rc == EXIT_OK
         assert first.read_bytes() == second.read_bytes()
 
+    def test_without_out_writes_the_fasta_to_stdout(self, demo_fasta, capsys):
+        argv = ["simulate", DEMO_TREE, "--columns", "30", "--seed", "7", "--outgroup", "O"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == demo_fasta.read_text()
+
     def test_tiny_alpha_draws_an_alignment(self, tmp_path):
         # Gamma(0.001) draws underflow to zero unless taken in logs
         out = tmp_path / "tiny.fasta"
@@ -282,6 +288,41 @@ class TestSample:
         assert rc == EXIT_INPUT
         assert "at least 4" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (">\nACGT\n>b\nACGT\n", "empty FASTA header"),
+            ("ACGT\n>a\nACGT\n", "sequence data before any header"),
+            ("", "no sequences"),
+            (">a\nACGT\n>b\nACGT\n>a\nACGA\n>c\nACGT\n", "duplicate sequence name"),
+        ],
+        ids=["nameless-header", "data-before-header", "empty-file", "duplicate-name"],
+    )
+    def test_malformed_fasta_is_input_error(self, text, message, tmp_path, capsys):
+        bad = tmp_path / "bad.fasta"
+        bad.write_text(text)
+        rc = main(["sample", str(bad), "--out", str(tmp_path / "x"), "--seed", "1"])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "x.samples").exists()
+
+    @pytest.mark.parametrize(
+        "option,message",
+        [
+            ("--chains", "chains must be positive"),
+            ("--iters", "iterations must be positive"),
+            ("--thin", "thin must be positive"),
+        ],
+    )
+    def test_zero_count_is_input_error(self, option, message, tmp_path, demo_fasta, capsys):
+        rc = main(
+            ["sample", str(demo_fasta), "--out", str(tmp_path / "x"), "--seed", "1",
+             "--iters", "5", "--burnin", "1", option, "0"]
+        )
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x.samples").exists()
+
     def test_newick_punctuation_in_a_name_is_input_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.fasta"
         write_fasta(bad, [("O", "ACGT"), ("A:1", "ACGT"), ("B", "ACGA"), ("C", "ACGT")])
@@ -337,6 +378,26 @@ class TestSample:
             ["sample", str(demo_fasta), "--out", str(tmp_path / "x"), "--seed", "1"]
         )
         assert rc == EXIT_NUMERICAL
+
+    def test_failure_at_the_start_tree_names_it(self, tmp_path, demo_fasta, monkeypatch, capsys):
+        calls = []
+
+        def underflow(tree, *args):
+            calls.append(tree)
+            raise ColumnLikelihoodError(3, "likelihood underflow to zero")
+
+        monkeypatch.setattr(mcmc, "log_posterior", underflow)
+        rc = main(
+            ["sample", str(demo_fasta), "--out", str(tmp_path / "x"), "--seed", "1",
+             "--iters", "5", "--burnin", "1"]
+        )
+        assert rc == EXIT_NUMERICAL
+        assert len(calls) == 1
+        assert capsys.readouterr().err == (
+            f"numerical failure: posterior evaluation failed on {serialize_newick(calls[0])}: "
+            "column 3: likelihood underflow to zero\n"
+        )
+        assert not (tmp_path / "x.samples").exists()
 
     def test_64_taxa_long_branches_finite_or_exit_three(self, tmp_path):
         # four columns with a 70% shared base and one all-gap column; gamma
@@ -478,6 +539,15 @@ class TestEstimators:
         a, b = results["random"], results["cyclic"]
         assert distance(a, b) < 1e-3
 
+    def test_an_inner_edge_below_1e_12_is_dropped_from_the_estimate(self, tmp_path, capsys):
+        text = "((A:0.1,B:0.2):1e-13,C:0.3,O:0.1);"
+        path = tmp_path / "tiny.samples"
+        path.write_text(text + "\n")
+        assert main(["mean", str(path)]) == EXIT_OK
+        tree = parse_newick(text)
+        star = Tree(tree.taxa, tree.leaf_lengths, {})
+        assert capsys.readouterr().out.splitlines()[0] == serialize_newick(star)
+
     def test_mixed_taxa_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "trees.nwk"
         path.write_text(
@@ -575,6 +645,13 @@ class TestSummaryCommands:
         assert len(body) % 10 == 0
         distinct = {row.split(",")[0] for row in body}
         assert len(body) == 10 * len(distinct)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_bins_is_input_error(self, value, samples_file, capsys):
+        rc = main(["splits", f"{samples_file}.samples", "--bins", value])
+        assert rc == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: bins must be positive\n"
 
     def test_compare_runs(self, samples_file, capsys):
         rc = main(["compare", f"{samples_file}.samples", "--seed", "1", "--steps", "200"])

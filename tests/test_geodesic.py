@@ -379,7 +379,7 @@ class TestPathTypes:
             leaf_deltas=path.leaf_deltas,
         )
         assert again == path and again is not path
-        assert again.distance() == path.distance()
+        assert again.length == path.length
         assert path != geodesic(t, s)
         copied = pickle.loads(pickle.dumps(path))
         assert copied == path
@@ -694,9 +694,9 @@ class TestRefineThresholdTies:
                 assert len(path.supports) == 1
                 assert path.supports[0].a_side == frozenset(s.inner)
                 assert path.supports[0].b_side == frozenset(t.inner)
-                assert path.distance() == pytest.approx(cone_distance(s, t), abs=1e-12)
+                assert path.length == pytest.approx(cone_distance(s, t), abs=1e-12)
                 if n <= 8:
-                    assert path.distance() == pytest.approx(
+                    assert path.length == pytest.approx(
                         brute_force_distance(s, t), abs=1e-12
                     )
 
@@ -715,9 +715,9 @@ class TestRefineThresholdTies:
             assert [(p.a_side, p.b_side) for p in path.supports] == [
                 (frozenset(s.inner), frozenset(t.inner))
             ]
-            assert path.distance() == pytest.approx(cone_distance(s, t), abs=1e-12)
+            assert path.length == pytest.approx(cone_distance(s, t), abs=1e-12)
             if len(s.inner) <= 4:
-                assert path.distance() == pytest.approx(
+                assert path.length == pytest.approx(
                     brute_force_distance(s, t), abs=1e-12
                 )
         assert all(weight == pytest.approx(1.0, abs=1e-12) for _, weight in covers)

@@ -71,7 +71,7 @@ def test_path_matches_reference(pair):
 def test_interpolation_divides_the_distance(pair, lam):
     s, t = pair
     path = geodesic(s, t)
-    d = path.distance()
+    d = path.length
     point = path.point(lam)
     assert abs(distance(s, point) - lam * d) <= 1e-9
     assert abs(distance(point, t) - (1.0 - lam) * d) <= 1e-9

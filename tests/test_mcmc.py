@@ -7,7 +7,6 @@ import pytest
 from bhvphylo.mcmc import (
     LENGTH_MOVE,
     NNI_MOVE,
-    ChainAbortError,
     ChainState,
     PolytomyError,
     ProposalConfig,
@@ -18,12 +17,11 @@ from bhvphylo.mcmc import (
     nni_neighbors,
     propose,
     run,
-    run_chain,
     trace_csv_lines,
 )
 from bhvphylo.phylo_model import ColumnLikelihoodError
 from bhvphylo.phylo_model import Alignment, DirichletPrior, GammaPrior, log_posterior
-from bhvphylo.treespace import Tree, validate
+from bhvphylo.treespace import Tree, serialize_newick, validate
 
 from conftest import make_taxa, random_tree, split_of
 
@@ -51,7 +49,7 @@ def flat(tree):
 
 
 def start(aln, config, seed, log_target=flat):
-    """A chain's first state and its generator, as run_chain makes them."""
+    """A chain's first state and its generator, as run makes them."""
     rng = random.Random(seed)
     tree = initial_tree(aln, config, rng)
     return ChainState(tree, log_target(tree)), rng
@@ -217,13 +215,20 @@ class TestMhStep:
         aln = empty_alignment()
         config = prior_run_config()
         state, rng = start(aln, config, seed=8)
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        candidate, _ = propose(state.current, twin, config.proposal)
 
         def broken(tree):
             raise ColumnLikelihoodError(2, "likelihood underflow to zero")
 
-        with pytest.raises(ChainAbortError, match=r"column 2.*underflow") as info:
+        with pytest.raises(ArithmeticError) as info:
             mh_step(state, rng, config.proposal, broken)
-        assert info.value.newick.endswith(";")
+        assert str(info.value) == (
+            f"posterior evaluation failed on {serialize_newick(candidate)}: "
+            "column 2: likelihood underflow to zero"
+        )
+        assert isinstance(info.value.__cause__, ColumnLikelihoodError)
 
     @pytest.mark.parametrize("log_target,accepted", [(-50.0, True), (-math.inf, False)])
     def test_zero_uniform_accepts_every_finite_ratio(self, log_target, accepted, rng):
@@ -387,10 +392,15 @@ class TestRun:
 
     def test_chain_exchangeability(self):
         aln = empty_alignment()
-        config = prior_run_config(iterations=200, burn_in=50)
         two_chain = run(aln, prior_run_config(iterations=200, burn_in=50, chains=2))
-        first_alone = run_chain(aln, config, seed=config.proposal.seed)
-        second_alone = run_chain(aln, config, seed=config.proposal.seed + 1)
+        # chain c of a run draws from seed proposal.seed + c; the default is 11
+        first_alone, second_alone = (
+            run(aln, prior_run_config(
+                iterations=200, burn_in=50,
+                proposal=ProposalConfig(tau=0.9, sigma=0.05, seed=seed),
+            ))
+            for seed in (11, 12)
+        )
         assert two_chain[0] == first_alone[0] + second_alone[0]
         assert two_chain[1] == first_alone[1] + second_alone[1]
 

@@ -62,3 +62,24 @@ def unreferenced_definitions() -> list[str]:
 
 def test_every_public_function_is_used_by_the_program():
     assert unreferenced_definitions() == []
+
+
+def private_imports() -> list[str]:
+    """`from <package module> import _name` lines in the package: a name
+    with one leading underscore belongs to its own module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if not (node.level > 0 or (node.module or "").split(".")[0] == "bhvphylo"):
+                continue
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") and not name.endswith("__"):
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_no_module_imports_a_private_name_of_another():
+    assert private_imports() == []

@@ -149,7 +149,7 @@ class TestAlignment:
     def test_pattern_compression(self):
         taxa = make_taxa(4)
         aln = Alignment.from_sequences(taxa, ["AC", "AC", "AC", "AC"])
-        assert aln.n_columns == 2
+        assert len(aln.columns) == 2
         assert len(aln.pattern_index) == 2
         same = Alignment.from_sequences(taxa, ["AA", "AA", "AA", "AA"])
         assert same.pattern_index == {(0, 0, 0, 0): 2}
@@ -196,7 +196,7 @@ class TestAlignment:
     def test_empty_alignment_allowed(self):
         taxa = make_taxa(4)
         aln = Alignment.from_columns(taxa, [])
-        assert aln.n_columns == 0
+        assert len(aln.columns) == 0
 
 
 class TestColumnPoly:

@@ -305,6 +305,19 @@ class TestParseNewick:
         with pytest.raises(NewickError, match="zero/negative"):
             parse_newick("((A:0.1,B:0.2):0.0,C:0.3,O:0.1);")
 
+    @pytest.mark.parametrize(
+        "text,leaf",
+        [
+            ("((A:0,B:0.2):0.05,C:0.3,O:0.1);", "A"),
+            ("((A:0.1,B:0.0):0.05,C:0.3,O:0.1);", "B"),
+            ("((A:0.1,B:0.2):0.05,C:0.3,O:-0.0);", "O"),
+        ],
+    )
+    def test_zero_leaf_length_is_an_error_at_the_leaf(self, text, leaf):
+        with pytest.raises(NewickError, match="zero/negative branch length") as info:
+            parse_newick(text)
+        assert info.value.offset == text.index(leaf)
+
     def test_syntax_error_carries_offset(self):
         with pytest.raises(NewickError, match="offset"):
             parse_newick("((A:0.1,:0.2):0.05,C:0.3,O:0.1);")
