@@ -3,7 +3,6 @@
 from .treespace import (
     InvalidTreeError,
     NewickError,
-    Split,
     TaxonTable,
     Tree,
     compatible,
@@ -39,7 +38,6 @@ __all__ = [
     "NewickError",
     "ProposalConfig",
     "RunConfig",
-    "Split",
     "SplitStats",
     "SupportPair",
     "TaxonTable",

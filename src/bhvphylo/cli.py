@@ -58,7 +58,8 @@ class InputError(ValueError):
 
 
 def read_fasta(path) -> list[tuple[str, str]]:
-    """Minimal FASTA reader; the name is the first header token."""
+    """Minimal FASTA reader; the name is the first header token, and
+    whitespace inside sequence lines is dropped."""
     records: list[tuple[str, list[str]]] = []
     with open(path) as handle:
         for line in handle:
@@ -73,7 +74,7 @@ def read_fasta(path) -> list[tuple[str, str]]:
             else:
                 if not records:
                     raise InputError(f"{path}: sequence data before any header")
-                records[-1][1].append(line)
+                records[-1][1].extend(line.split())
     if not records:
         raise InputError(f"{path}: no sequences")
     sequences = [(name, "".join(parts)) for name, parts in records]

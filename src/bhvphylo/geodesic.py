@@ -46,7 +46,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .maxflow import FlowNetwork, max_flow
-from .treespace import Split, Tree
+from .treespace import Tree
 
 _REFINE_TOL = 1e-12
 # networks whose smaller side holds at most this many splits are solved by
@@ -54,13 +54,17 @@ _REFINE_TOL = 1e-12
 _ENUM_MAX = 7
 # ordered pairs of split sets whose layouts are kept
 _LAYOUT_MEMO = 64
+# a side whose squared lengths sum below this is squared after an exact
+# power-of-two scale, which changes no weight or ratio, and its norm scaled
+# back, so that lengths below about 1e-154 neither underflow nor lose bits
+_SQUARE_FLOOR = 1e-250
 
 
 class SupportPair(NamedTuple):
     """One leg boundary of the geodesic: source splits traded for target splits."""
 
-    a_side: frozenset[Split]
-    b_side: frozenset[Split]
+    a_side: frozenset[int]
+    b_side: frozenset[int]
     a_norm: float
     b_norm: float
 
@@ -73,7 +77,7 @@ class _PathFields(NamedTuple):
     source: Tree
     target: Tree
     # (split, source length, target length), in split order
-    common: tuple[tuple[Split, float, float], ...]
+    common: tuple[tuple[int, float, float], ...]
     # in nondecreasing order of ratio
     supports: tuple[SupportPair, ...]
     leaf_deltas: tuple[float, ...]
@@ -91,7 +95,7 @@ class GeodesicPath(_PathFields):
     __slots__ = ()
 
     def __new__(cls, source: Tree, target: Tree,
-                common: tuple[tuple[Split, float, float], ...],
+                common: tuple[tuple[int, float, float], ...],
                 supports: tuple[SupportPair, ...], leaf_deltas: tuple[float, ...]):
         total = sum([(a + b) ** 2 for _, _, a, b in supports])
         total += sum([(ls - lt) ** 2 for _, ls, lt in common])
@@ -118,7 +122,7 @@ class GeodesicPath(_PathFields):
         leaf_lengths = tuple(
             [mu * a + lam * b for a, b in zip(source.leaf_lengths, target.leaf_lengths)]
         )
-        inner: dict[Split, float] = {}
+        inner: dict[int, float] = {}
         for split, ls, lt in self.common:
             length = mu * ls + lam * lt
             if length > 0.0:
@@ -216,14 +220,26 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     return best, reach[u], full ^ u
 
 
+def _squares(items: list[tuple]) -> tuple[list[float], float, float]:
+    """(squared lengths, their sum, norm) of a side; see _SQUARE_FLOOR."""
+    squares = [l * l for _, l, _ in items]
+    total = sum(squares)
+    if total >= _SQUARE_FLOOR:
+        return squares, total, math.sqrt(total)
+    shift = -math.frexp(max([l for _, l, _ in items]))[1]
+    squares = [math.ldexp(l, shift) ** 2 for _, l, _ in items]
+    total = sum(squares)
+    return squares, total, math.ldexp(math.sqrt(total), -shift)
+
+
 def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) -> None:
     """Split (A, B) on minimum covers until none weighs less than one.
 
     Items are (split, length, conflict row) on side A and (split, length,
     bit) on side B; a row holds the bits of the B splits it conflicts with.
     """
-    norm_a2 = sum([l * l for _, l, _ in a_items])
-    norm_b2 = sum([l * l for _, l, _ in b_items])
+    squares_a, norm_a2, norm_a = _squares(a_items)
+    squares_b, norm_b2, norm_b = _squares(b_items)
     # a cut must leave splits of both trees in both halves, so a side
     # holding one split ends the refinement without a cover
     if len(a_items) > 1 and len(b_items) > 1:
@@ -235,8 +251,8 @@ def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) 
                     local |= 1 << j
             rows.append(local)
         weight, cover_a, cover_b = _min_cover(
-            [l * l / norm_a2 for _, l, _ in a_items],
-            [l * l / norm_b2 for _, l, _ in b_items],
+            [q / norm_a2 for q in squares_a],
+            [q / norm_b2 for q in squares_b],
             rows,
         )
         if weight < 1.0 - _REFINE_TOL:
@@ -252,14 +268,14 @@ def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) 
         SupportPair(
             frozenset([s for s, _, _ in a_items]),
             frozenset([s for s, _, _ in b_items]),
-            math.sqrt(norm_a2),
-            math.sqrt(norm_b2),
+            norm_a,
+            norm_b,
         )
     )
 
 
 @functools.lru_cache(maxsize=_LAYOUT_MEMO)
-def _layout(s_splits: frozenset[Split], t_splits: frozenset[Split]) -> tuple[tuple, tuple]:
+def _layout(s_splits: frozenset[int], t_splits: frozenset[int]) -> tuple[tuple, tuple]:
     """The part of the geodesic from split set s_splits to t_splits that
     holds no lengths: (common, components).
 
@@ -268,14 +284,13 @@ def _layout(s_splits: frozenset[Split], t_splits: frozenset[Split]) -> tuple[tup
     splits with their bits, components in order of the common split that
     cuts them out.
     """
-    # a split is the tuple (bits, n_leaves), so these sort by mask
     s_only = sorted(s_splits - t_splits)
     t_only = sorted(t_splits - s_splits)
 
     # Splits of one tree compatible with everything on the other side do
     # not interact with the conflict: they travel as common edges whose
     # partner length is zero.
-    rows = _conflict_rows([a.bits for a in s_only], [b.bits for b in t_only])
+    rows = _conflict_rows(s_only, t_only)
     t_hit = 0
     for row in rows:
         t_hit |= row
@@ -287,7 +302,7 @@ def _layout(s_splits: frozenset[Split], t_splits: frozenset[Split]) -> tuple[tup
     # The common splits form a laminar family that cuts the conflict into
     # independent components; every incompatibility stays inside one
     # component, so refinement runs per component.
-    cut_masks = sorted((c.bits for c in common), key=int.bit_count)
+    cut_masks = sorted(common, key=int.bit_count)
     cut_sizes = [mask.bit_count() for mask in cut_masks]
 
     def region(x: int) -> int:
@@ -301,10 +316,10 @@ def _layout(s_splits: frozenset[Split], t_splits: frozenset[Split]) -> tuple[tup
     regions: dict[int, tuple[list, list]] = {}
     for a, row in zip(s_only, rows):
         if row:
-            regions.setdefault(region(a.bits), ([], []))[0].append((a, row))
+            regions.setdefault(region(a), ([], []))[0].append((a, row))
     for j, b in enumerate(t_only):
         if t_hit >> j & 1:
-            regions.setdefault(region(b.bits), ([], []))[1].append((b, 1 << j))
+            regions.setdefault(region(b), ([], []))[1].append((b, 1 << j))
     components = []
     for key in sorted(regions):
         a_side, b_side = regions[key]
@@ -331,7 +346,7 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
     if len(supports) > 1:
         # A sides of distinct supports are disjoint, so their smallest masks
         # break ratio ties as the sorted lists of all their masks would
-        supports.sort(key=lambda p: (p.ratio, min([sp.bits for sp in p.a_side])))
+        supports.sort(key=lambda p: (p.ratio, min(p.a_side)))
 
     s_get, t_get = s_len.get, t_len.get
     # by position: a class called with keywords builds a dict for them

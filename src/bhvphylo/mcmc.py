@@ -27,11 +27,11 @@ from typing import Callable, NamedTuple
 
 from .phylo_model import Alignment, DirichletPrior, GammaPrior, log_posterior
 from .treespace import (
-    Split,
     Tree,
     check,
     random_binary_splits,
     serialize_newick,
+    split_name,
     tree_topology,
     validate,
 )
@@ -102,35 +102,34 @@ class TraceRow(NamedTuple):
     move: str
 
 
-def nni_neighbors(tree: Tree, edge: Split) -> tuple[Tree, Tree]:
+def nni_neighbors(tree: Tree, edge: int) -> tuple[Tree, Tree]:
     """The two trees that replace `edge` by an incompatible split of the
     same length, leaving every other edge untouched."""
     if edge not in tree.inner:
-        raise KeyError(f"{edge} is not an inner edge of the tree")
+        raise KeyError(f"{split_name(edge, tree.taxa)} is not an inner edge of the tree")
     root = tree_topology(tree)
 
     def find(node):
         for child in node.children:
-            if child.mask == edge.bits:
+            if child.mask == edge:
                 return node, child
-            if child.mask & edge.bits == edge.bits:
+            if child.mask & edge == edge:
                 return find(child)
         raise AssertionError("edge not found below its container")
 
     parent, node = find(root)
     full = (1 << tree.taxa.size) - 1
     near = [c.mask for c in node.children]
-    far = [c.mask for c in parent.children if c.mask != edge.bits]
+    far = [c.mask for c in parent.children if c.mask != edge]
     if parent is not root:
         far.append(full ^ parent.mask)
     if len(near) != 2 or len(far) != 2:
-        raise PolytomyError(f"{edge} meets a polytomy")
+        raise PolytomyError(f"{split_name(edge, tree.taxa)} meets a polytomy")
 
-    swapped = []
-    for exchanged in (near[0] | far[0], near[0] | far[1]):
-        side = exchanged if not exchanged & 1 else full ^ exchanged
-        swapped.append(Split(side, tree.taxa.size))
-    first, second = sorted(swapped)
+    first, second = sorted(
+        exchanged if not exchanged & 1 else full ^ exchanged
+        for exchanged in (near[0] | far[0], near[0] | far[1])
+    )
     return tree.with_split_replaced(edge, first), tree.with_split_replaced(edge, second)
 
 

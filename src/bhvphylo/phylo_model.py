@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .treespace import Split, TaxonTable, Tree, tree_topology
+from .treespace import TaxonTable, Tree, tree_topology
 
 ALPHABET = ("A", "C", "G", "T", "-")
 N_SYMBOLS = 5
@@ -247,7 +247,7 @@ class _Plan:
 
     def __init__(self, splits, first, pairs, edges, leaf_state, closing, starts,
                  cell_pattern, log_moments):
-        self.splits = splits              # tuple of Splits
+        self.splits = splits              # the inner vertices' splits, in slot order
         self.first = first                # index of the block's first pattern in `pattern_index`
         self.pairs = pairs                # state-message pairs the folds examine
         self.edges = edges
@@ -286,7 +286,7 @@ def _pruning_order(node, slot: int, n_leaves: int, splits: list):
             yield child, child.leaf, slot
         else:
             child_slot = n_leaves + len(splits)
-            splits.append(Split(child.mask, n_leaves))
+            splits.append(child.mask)
             yield from _pruning_order(child, child_slot, n_leaves, splits)
             yield child, child_slot, slot
 
@@ -344,7 +344,7 @@ def _compile(topology, patterns: list, first: int, alpha: tuple[float, ...],
         )
         return cells, (left, right, out)
 
-    splits: list[Split] = []
+    splits: list[int] = []
     edges: list[tuple] = []
     states = {}
     for child, child_slot, slot in _pruning_order(topology, -1, columns.shape[1], splits):

@@ -11,13 +11,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .treespace import Split, Tree, check, common_taxa
+from .treespace import Tree, check, common_taxa, split_name
 
 DEFAULT_BINS = 50
 
 
 class SplitStats(NamedTuple):
-    split: Split
+    split: int
     frequency: float
     mean_length: float
     bin_edges: tuple[float, ...]
@@ -54,9 +54,9 @@ def split_frequencies(samples, bins: int = DEFAULT_BINS) -> list[SplitStats]:
     return records
 
 
-def _split_lengths(samples) -> dict[Split, list[float]]:
+def _split_lengths(samples) -> dict[int, list[float]]:
     """The lengths each split has in the samples that contain it."""
-    lengths: dict[Split, list[float]] = {}
+    lengths: dict[int, list[float]] = {}
     for tree in samples:
         for split, length in tree.inner.items():
             lengths.setdefault(split, []).append(length)
@@ -88,7 +88,7 @@ def consensus_majority(samples) -> Tree:
 
 def compare_mean_consensus(
     samples, mean_tree: Tree, consensus_tree: Tree
-) -> list[tuple[Split, float | None, float | None]]:
+) -> list[tuple[int, float | None, float | None]]:
     """Rows (split, consensus length, mean length), None where a tree lacks
     the split: shared splits, then consensus-only, then mean-only, by mask."""
     common_taxa([*samples, mean_tree, consensus_tree])
@@ -103,13 +103,10 @@ def compare_mean_consensus(
 def render_report(rows, taxa) -> str:
     """Plain text table of the comparison rows."""
 
-    def name(split: Split) -> str:
-        return "|".join(taxa.names[i] for i in split.indices())
-
     def fmt(value) -> str:
         return f"{value:.6g}" if value is not None else "-"
 
-    labels = [name(split) for split, _, _ in rows]
+    labels = [split_name(split, taxa) for split, _, _ in rows]
     width = max(map(len, ["split", *labels]))
     lines = [f"{'split':<{width}} {'consensus':>12} {'mean':>12} {'diff':>12}"]
     for label, (_, consensus_length, mean_length) in zip(labels, rows):
@@ -127,7 +124,8 @@ def stats_csv_lines(records) -> list[str]:
     """CSV rows split,frequency,mean_length,bin_lo,bin_hi,count (one per bin)."""
     lines = ["split,frequency,mean_length,bin_lo,bin_hi,count"]
     for record in records:
-        label = "|".join(map(str, record.split.indices()))
+        split = record.split
+        label = "|".join([str(i) for i in range(split.bit_length()) if split >> i & 1])
         head = f"{label},{record.frequency:.17g},{record.mean_length:.17g},"
         edges = [f"{edge:.17g}" for edge in record.bin_edges]
         lines += [

@@ -2,17 +2,18 @@
 
 A tree over leaves 0..n is stored as a taxon table (index 0 is the
 outgroup leaf), a dense vector of n+1 leaf edge lengths, and a map from
-inner-edge splits to positive lengths.  Splits are normalized to the
-side of the bipartition that does not contain leaf 0 and kept as
-bitmasks, so compatibility reduces to three mask tests; a split is the
-tuple (bits, n_leaves), so dict and set lookups of splits hash and
-compare in C.  Inner edges of length zero are represented by absence
-from the map; trees with fewer than n-2 inner edges are valid non-binary
-trees.
+inner-edge splits to positive lengths.  A split is its bitmask, a plain
+int: bit i is set when leaf i lies on the side of the bipartition that
+does not contain leaf 0.  Within one taxon table the mask is the whole
+split, so compatibility reduces to three mask tests and split lookups
+hash and compare ints; `validate` checks that every mask is a split of
+the tree's table, and `split_name` names one by its taxa.  Inner edges
+of length zero are represented by absence from the map; trees with
+fewer than n-2 inner edges are valid non-binary trees.
 
-`TaxonTable`, `Split` and `Tree` are named tuples: immutable, equal field
-by field, and safe to share across threads (no code changes the dict of
-a tree's inner lengths once the tree holds it).  A `Node` is the vertex
+`TaxonTable` and `Tree` are named tuples: immutable, equal field by
+field, and safe to share across threads (no code changes the dict of a
+tree's inner lengths once the tree holds it).  A `Node` is the vertex
 of the explicit topology that `tree_topology` builds by mutation, and
 each call builds new ones.
 """
@@ -82,59 +83,22 @@ def canonical_taxa(names, outgroup: str | None) -> TaxonTable:
     return TaxonTable((outgroup, *sorted(n for n in names if n != outgroup)))
 
 
-class _SplitFields(NamedTuple):
-    bits: int
-    n_leaves: int
+def split_name(split: int, taxa: TaxonTable) -> str:
+    """The split named by the taxa on its side, as ``A|B``."""
+    return "|".join([name for i, name in enumerate(taxa.names) if split >> i & 1])
 
 
-class Split(_SplitFields):
-    """One inner-edge bipartition, as the bitmask of the side without leaf 0.
-
-    A split is the tuple ``(bits, n_leaves)``, so hashing, equality and
-    ordering run in the tuple's C code: a split hashes as that tuple and
-    sorts by its mask first.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, bits: int, n_leaves: int):
-        if bits & 1:
-            raise ValueError("split mask must not contain leaf 0")
-        if bits >> n_leaves:
-            raise ValueError("split mask outside leaf range")
-        size = bits.bit_count()
-        if size < 2 or size > n_leaves - 2:
-            raise ValueError(
-                f"split side must have 2..{n_leaves - 2} leaves, got {size}"
-            )
-        return tuple.__new__(cls, (bits, n_leaves))
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.n_leaves) if self.bits >> i & 1)
-
-    def __repr__(self):
-        return f"Split({{{','.join(map(str, self.indices()))}}}/{self.n_leaves})"
-
-
-def compatible(a: Split, b: Split) -> bool:
-    """True iff the two splits can coexist in one tree.
-
-    With masks normalized away from leaf 0 this holds exactly when one
-    mask contains the other or they are disjoint.
-    """
-    if a.n_leaves != b.n_leaves:
-        raise ValueError(
-            f"splits over different leaf counts ({a.n_leaves} vs {b.n_leaves}) "
-            "are incomparable"
-        )
-    meet = a.bits & b.bits
-    return meet == 0 or meet == a.bits or meet == b.bits
+def compatible(a: int, b: int) -> bool:
+    """True iff the two splits can coexist in one tree: with masks normalized
+    away from leaf 0, when one mask contains the other or they are disjoint."""
+    meet = a & b
+    return meet == 0 or meet == a or meet == b
 
 
 class _TreeFields(NamedTuple):
     taxa: TaxonTable
     leaf_lengths: tuple[float, ...]
-    inner: dict[Split, float]
+    inner: dict[int, float]
 
 
 class Tree(_TreeFields):
@@ -148,7 +112,7 @@ class Tree(_TreeFields):
 
     @classmethod
     def _adopt(cls, taxa: TaxonTable, leaf_lengths: tuple[float, ...],
-               inner: dict[Split, float]) -> "Tree":
+               inner: dict[int, float]) -> "Tree":
         """A tree that keeps the tuple and dict it is handed, uncopied: for
         callers that built them for this tree, or took them from another
         tree, and change them no more."""
@@ -159,14 +123,14 @@ class Tree(_TreeFields):
         lengths[leaf] = length
         return Tree._adopt(self.taxa, tuple(lengths), self.inner)
 
-    def with_inner_length(self, split: Split, length: float) -> "Tree":
+    def with_inner_length(self, split: int, length: float) -> "Tree":
         if split not in self.inner:
-            raise KeyError(f"{split} not in tree")
+            raise KeyError(f"{split_name(split, self.taxa)} not in tree")
         inner = dict(self.inner)
         inner[split] = length
         return Tree._adopt(self.taxa, self.leaf_lengths, inner)
 
-    def with_split_replaced(self, old: Split, new: Split) -> "Tree":
+    def with_split_replaced(self, old: int, new: int) -> "Tree":
         inner = dict(self.inner)
         length = inner.pop(old)
         inner[new] = length
@@ -181,7 +145,7 @@ def _length_problems(tree: Tree) -> list[str]:
         if not 0.0 < length < math.inf
     ]
     problems += [
-        f"non-positive or non-finite length on inner edge {split}"
+        f"non-positive or non-finite length on inner edge {split_name(split, tree.taxa)}"
         for split, length in tree.inner.items()
         if not 0.0 < length < math.inf
     ]
@@ -202,14 +166,21 @@ def validate(tree: Tree) -> list[str]:
         problems.append(
             f"{len(tree.inner)} inner splits exceeds maximum {n_leaves - 3}"
         )
-    for split in tree.inner:
-        if split.n_leaves != n_leaves:
-            problems.append(f"{split} is over {split.n_leaves} leaves, tree has {n_leaves}")
-    ordered = sorted(s for s in tree.inner if s.n_leaves == n_leaves)
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1 :]:
+    named = []  # the splits of the table; any other mask is one problem
+    for split in sorted(tree.inner):
+        name, size = split_name(split, tree.taxa), split.bit_count()
+        if split & 1:
+            problems.append(f"split {name}: mask must not contain leaf 0")
+        elif split >> n_leaves:
+            problems.append(f"split {split:#x}: mask outside leaf range 0..{n_leaves - 1}")
+        elif not 2 <= size <= n_leaves - 2:
+            problems.append(f"split {name}: a side must have 2..{n_leaves - 2} leaves, got {size}")
+        else:
+            named.append((split, name))
+    for i, (a, a_name) in enumerate(named):
+        for b, b_name in named[i + 1 :]:
             if not compatible(a, b):
-                problems.append(f"incompatible splits {a} and {b}")
+                problems.append(f"incompatible splits {a_name} and {b_name}")
     return problems
 
 
@@ -261,7 +232,7 @@ def tree_topology(tree: Tree) -> Node:
     """
     root = Node(None, (1 << tree.taxa.size) - 1, None)
     nodes = [Node(leaf, 1 << leaf, length) for leaf, length in enumerate(tree.leaf_lengths)]
-    nodes += [Node(None, split.bits, length) for split, length in tree.inner.items()]
+    nodes += [Node(None, split, length) for split, length in tree.inner.items()]
     nodes.sort(key=lambda v: v.mask.bit_count())
     nodes.append(root)
     # the parent is the smallest clade strictly containing the vertex: the
@@ -414,7 +385,7 @@ def parse_newick(
     full = (1 << n_leaves) - 1
     leaf_index = {name: i for i, name in enumerate(taxa.names)}
     leaf_lengths = [0.0] * n_leaves
-    inner: dict[Split, float] = {}
+    inner: dict[int, float] = {}
     # postorder: an inner vertex takes the masks of its children off the
     # stack; a leaf is never the root, so it always has a length
     stack: list[int] = []
@@ -450,8 +421,7 @@ def parse_newick(
         elif count == n_leaves - 1:
             leaf_lengths[0] += length
         else:
-            split = Split(side, n_leaves)
-            inner[split] = inner.get(split, 0.0) + length
+            inner[side] = inner.get(side, 0.0) + length
 
     tree = Tree._adopt(taxa, tuple(leaf_lengths), inner)
     # one parenthesization gives every leaf one length and laminar splits,
@@ -508,7 +478,7 @@ def load_samples(path, *, outgroup: str | None = None) -> list[Tree]:
 # ---------------------------------------------------------------------------
 # Random topologies
 
-def random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
+def random_binary_splits(n_leaves: int, rng) -> frozenset[int]:
     """Uniform random binary topology via sequential random edge insertion.
 
     Each edge is keyed by its endpoint ids (leaves 0..n-1, then inner
@@ -533,7 +503,5 @@ def random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
         edges[lower, mid] = (clade, lower)
         edges[leaf, mid] = (bit, leaf)
     return frozenset(
-        Split(mask, n_leaves)
-        for mask, _ in edges.values()
-        if 2 <= mask.bit_count() <= n_leaves - 2
+        mask for mask, _ in edges.values() if 2 <= mask.bit_count() <= n_leaves - 2
     )

@@ -13,11 +13,12 @@ import pytest
 
 from bhvphylo import phylo_model
 from bhvphylo.phylo_model import Alignment, DirichletPrior
-from bhvphylo.treespace import Split, TaxonTable, Tree, random_binary_splits
+from bhvphylo.treespace import TaxonTable, Tree, random_binary_splits
 
 
-def split_of(leaves, n_leaves: int) -> Split:
-    """The split with `leaves` on either side of its bipartition."""
+def split_of(leaves, n_leaves: int) -> int:
+    """The split with `leaves` on either side of its bipartition: the mask
+    of the side without leaf 0."""
     bits = 0
     for i in leaves:
         if i < 0 or i >= n_leaves:
@@ -25,7 +26,7 @@ def split_of(leaves, n_leaves: int) -> Split:
         bits |= 1 << i
     if bits & 1:
         bits = ((1 << n_leaves) - 1) ^ bits
-    return Split(bits, n_leaves)
+    return bits
 
 
 def make_taxa(n_leaves: int) -> TaxonTable:

@@ -20,7 +20,7 @@ recursive descent the program used before it tokenized each line, kept
 verbatim; the tokenizing reader must return the same tree or raise the
 same class of exception, except that it rejects text after the `;` and
 raises `NewickError` for an edge above every leaf, where the reference
-raises the bare `ValueError` of `Split`.
+raises a bare `ValueError`.
 The reference topology is the earlier two-search `tree_topology`, kept
 verbatim; the one-pass version must build the same vertex structure.
 The reference argument parser is the argparse `build_parser` the
@@ -63,7 +63,6 @@ from bhvphylo.treespace import (
     InvalidTreeError,
     NewickError,
     Node,
-    Split,
     TaxonTable,
     Tree,
     _length_problems,
@@ -288,11 +287,11 @@ def reference_geodesic(s: Tree, t: Tree) -> GeodesicPath:
     a_rest = [a for a in s_only if a not in set(absorbed_s)]
     b_rest = [b for b in t_only if b not in set(absorbed_t)]
 
-    cut_masks = sorted((c.bits for c, _, _ in common), key=int.bit_count)
+    cut_masks = sorted((c for c, _, _ in common), key=int.bit_count)
 
-    def region(split: Split) -> int:
+    def region(split: int) -> int:
         for mask in cut_masks:
-            if split.bits & mask == split.bits and split.bits != mask:
+            if split & mask == split and split != mask:
                 return mask
         return -1
 
@@ -308,7 +307,7 @@ def reference_geodesic(s: Tree, t: Tree) -> GeodesicPath:
         if not a_items or not b_items:
             raise AssertionError("conflict component with an empty side")
         reference_refine(a_items, b_items, supports)
-    supports.sort(key=lambda p: (p.ratio, sorted(sp.bits for sp in p.a_side)))
+    supports.sort(key=lambda p: (p.ratio, sorted(p.a_side)))
 
     return GeodesicPath(
         source=s,
@@ -333,7 +332,7 @@ def reference_point(path: GeodesicPath, lam: float) -> Tree:
         (1.0 - lam) * a + lam * b
         for a, b in zip(source.leaf_lengths, target.leaf_lengths)
     )
-    inner: dict[Split, float] = {}
+    inner: dict[int, float] = {}
     for split, ls, lt in path.common:
         length = (1.0 - lam) * ls + lam * lt
         if length > 0.0:
@@ -855,7 +854,7 @@ def reference_parse_newick(
     n_leaves = taxa.size
     full = (1 << n_leaves) - 1
     leaf_lengths = [0.0] * n_leaves
-    inner: dict[Split, float] = {}
+    inner: dict[int, float] = {}
 
     def walk(node, is_root: bool = False) -> int:
         name, children, length, offset = node
@@ -870,13 +869,14 @@ def reference_parse_newick(
                 raise NewickError(f"zero/negative branch length {length!r}", offset)
             side = below if not below & 1 else full ^ below
             count = side.bit_count()
+            if count == 0:
+                raise ValueError("inner edge above all leaves")
             if count == 1:
                 leaf_lengths[_min_leaf(side)] += length
             elif count == n_leaves - 1:
                 leaf_lengths[0] += length
             else:
-                split = Split(side, n_leaves)
-                inner[split] = inner.get(split, 0.0) + length
+                inner[side] = inner.get(side, 0.0) + length
         return below
 
     walk(root, is_root=True)
@@ -900,7 +900,7 @@ def reference_tree_topology(tree: Tree) -> Node:
     n_leaves = tree.taxa.size
     full = (1 << n_leaves) - 1
     root = Node(None, full, None)
-    nodes = [Node(None, s.bits, length) for s, length in sorted(tree.inner.items())]
+    nodes = [Node(None, s, length) for s, length in sorted(tree.inner.items())]
     # parent of a split node: the smallest strict superset among the others
     by_size = sorted(nodes, key=lambda v: v.mask.bit_count())
     for i, node in enumerate(by_size):
@@ -936,7 +936,7 @@ def _sort_children(node: Node) -> None:
 # ---------------------------------------------------------------------------
 # Binary topologies on an explicit adjacency graph
 
-def _splits_of_adjacency(adj: dict[int, set[int]], n_leaves: int) -> frozenset[Split]:
+def _splits_of_adjacency(adj: dict[int, set[int]], n_leaves: int) -> frozenset[int]:
     splits = set()
     inner = [v for v in adj if v >= n_leaves]
     for v in inner:
@@ -957,7 +957,7 @@ def _splits_of_adjacency(adj: dict[int, set[int]], n_leaves: int) -> frozenset[S
                         stack.append(x)
             if side & 1:
                 side ^= (1 << n_leaves) - 1
-            splits.add(Split(side, n_leaves))
+            splits.add(side)
     return frozenset(splits)
 
 
@@ -965,7 +965,7 @@ def _edges_of(adj: dict[int, set[int]]) -> list[tuple[int, int]]:
     return sorted((v, w) for v in adj for w in adj[v] if v < w)
 
 
-def reference_random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
+def reference_random_binary_splits(n_leaves: int, rng) -> frozenset[int]:
     """Random edge insertion on an adjacency graph, with the splits read off
     by a search per edge: the earlier `random_binary_splits`, kept
     verbatim.  Vertices 0..n-1 are leaves, n is the starting center and
@@ -990,7 +990,7 @@ def reference_random_binary_splits(n_leaves: int, rng) -> frozenset[Split]:
     return _splits_of_adjacency(adj, n_leaves)
 
 
-def enumerate_binary_topologies(n_leaves: int) -> set[frozenset[Split]]:
+def enumerate_binary_topologies(n_leaves: int) -> set[frozenset[int]]:
     """All binary split sets on the leaf set, by exhaustive leaf insertion."""
     if n_leaves < 4:
         raise ValueError("need at least 4 leaves")

@@ -25,6 +25,12 @@ from conftest import trees_close
 from oracles import reference_parser
 
 DEMO_TREE = "((A:0.1,B:0.2):0.05,(C:0.3,D:0.1):0.07,O:0.1);"
+# every conflicting split of the second tree has a length whose square is
+# below the smallest double; their distance is 3e-100
+TINY_PAIR = (
+    "(((A:0.1,B:0.1):3e-100,C:0.1):1e-170,D:0.1,O:0.1);",
+    "(((A:0.1,D:0.1):1e-170,C:0.1):2e-170,B:0.1,O:0.1);",
+)
 
 
 def write_fasta(path, sequences):
@@ -354,6 +360,17 @@ class TestSample:
         assert rc == EXIT_OK
         assert "mapped to gap" in capsys.readouterr().err
 
+    def test_whitespace_inside_sequence_lines_is_dropped(self, tmp_path, capsys):
+        fasta = tmp_path / "spaced.fasta"
+        fasta.write_text(">a\nAC GT\n>b\nA\tCGT\n>c\n AC  G T \n>d\nAC\nG T\n")
+        assert cli.read_fasta(fasta) == [(name, "ACGT") for name in "abcd"]
+        out = tmp_path / "x"
+        options = ["--out", str(out), "--seed", "1", "--iters", "20", "--burnin", "4"]
+        rc = main(["sample", str(fasta), *options])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err.count("warning") == 0
+        assert json.loads((tmp_path / "x.manifest.json").read_text())["columns"] == 4
+
     def test_each_unknown_symbol_warns_once(self, tmp_path, capsys):
         fasta = tmp_path / "n.fasta"
         write_fasta(
@@ -548,6 +565,14 @@ class TestEstimators:
         star = Tree(tree.taxa, tree.leaf_lengths, {})
         assert capsys.readouterr().out.splitlines()[0] == serialize_newick(star)
 
+    @pytest.mark.parametrize("command", ["mean", "median", "compare"])
+    def test_conflicting_lengths_whose_squares_underflow(self, command, tmp_path, capsys):
+        path = tmp_path / "tiny.samples"
+        path.write_text(f"{TINY_PAIR[0]}\n{TINY_PAIR[1]}\n")
+        assert main([command, str(path), "--steps", "50"]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
     def test_mixed_taxa_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "trees.nwk"
         path.write_text(
@@ -694,6 +719,10 @@ class TestGeometryCommands:
         rc = main(["distance", a, b, "--outgroup", "O"])
         assert rc == EXIT_OK
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.7, abs=1e-12)
+
+    def test_distance_of_conflicting_lengths_whose_squares_underflow(self, capsys):
+        assert main(["distance", *TINY_PAIR, "--outgroup", "O"]) == EXIT_OK
+        assert float(capsys.readouterr().out) == pytest.approx(3e-100, rel=1e-15)
 
     def test_interpolate_splits_distance_evenly(self, capsys):
         a = "((A:0.1,B:0.1):0.3,C:0.1,O:0.1);"

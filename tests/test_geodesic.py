@@ -26,7 +26,13 @@ from bhvphylo.geodesic import (
 )
 from bhvphylo.maxflow import FlowNetwork, max_flow
 from bhvphylo.mcmc import nni_neighbors
-from bhvphylo.treespace import Tree, random_binary_splits, serialize_newick, validate
+from bhvphylo.treespace import (
+    Tree,
+    parse_newick,
+    random_binary_splits,
+    serialize_newick,
+    validate,
+)
 
 from conftest import assert_same_path, make_taxa, random_tree, spider_tree, split_of
 from oracles import (
@@ -112,6 +118,31 @@ class TestDistance:
             assert distance(s, t) == pytest.approx(
                 brute_force_distance(s, t), abs=1e-9
             )
+
+    def test_conflicting_lengths_whose_squares_underflow(self):
+        # every conflicting split of the second tree is below 1.5e-162, so
+        # its side's squared norm is 0.0 unless the side is rescaled
+        s = parse_newick("(((A:0.1,B:0.1):3e-100,C:0.1):1e-170,D:0.1,O:0.1);", outgroup="O")
+        t = parse_newick("(((A:0.1,D:0.1):1e-170,C:0.1):2e-170,B:0.1,O:0.1);", taxa=s.taxa)
+        assert brute_force_distance(s, t) == 3e-100
+        assert distance(s, t) == pytest.approx(3e-100, rel=1e-15)
+        assert distance(t, s) == pytest.approx(3e-100, rel=1e-15)
+
+    def test_inner_lengths_scaled_by_a_power_of_two_scale_the_supports(self, rng):
+        # 2**-600 squares to below the smallest double
+        def tiny(tree):
+            inner = {split: math.ldexp(length, -600) for split, length in tree.inner.items()}
+            return Tree(tree.taxa, tree.leaf_lengths, inner)
+
+        for _ in range(40):
+            taxa = make_taxa(rng.randrange(5, 9))
+            s = random_tree(taxa, rng, drop_probability=0.2)
+            t = random_tree(taxa, rng, drop_probability=0.2)
+            want, got = geodesic(s, t).supports, geodesic(tiny(s), tiny(t)).supports
+            assert [(p.a_side, p.b_side) for p in got] == [(p.a_side, p.b_side) for p in want]
+            assert [(p.a_norm, p.b_norm) for p in got] == [
+                (math.ldexp(p.a_norm, -600), math.ldexp(p.b_norm, -600)) for p in want
+            ]
 
     def test_metric_axioms(self, rng):
         for _ in range(40):
@@ -485,7 +516,7 @@ class TestOneSplitSide:
             pairs = [(sp, rng.uniform(0.05, 1.0)) for sp in splits[: k + 1]]
             one, many = pairs[:1], pairs[1:]
             a_pairs, b_pairs = (one, many) if trial % 2 else (many, one)
-            rows = _conflict_rows([a.bits for a, _ in a_pairs], [b.bits for b, _ in b_pairs])
+            rows = _conflict_rows([a for a, _ in a_pairs], [b for b, _ in b_pairs])
             a_items = [(a, l, row) for (a, l), row in zip(a_pairs, rows)]
             b_items = [(b, l, 1 << j) for j, (b, l) in enumerate(b_pairs)]
             got, want = [], []
@@ -686,7 +717,7 @@ class TestRefineThresholdTies:
             for a_length, b_length in ((0.1, 0.1), (0.1, 0.3), (0.7, 0.2)):
                 s, t = complete_conflict_pair(n, a_length, b_length)
                 assert all(
-                    not (a.bits & b.bits in (0, a.bits, b.bits))
+                    not (a & b in (0, a, b))
                     for a in s.inner
                     for b in t.inner
                 )

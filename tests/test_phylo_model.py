@@ -346,7 +346,7 @@ class TestLogLikelihood:
         )
         inner = {}
         for split, length in tree_a.inner.items():
-            names_in_side = {names[i] for i in split.indices()}
+            names_in_side = {names[i] for i in range(len(names)) if split >> i & 1}
             side = {taxa_b.names.index(n) for n in names_in_side}
             inner[split_of(side, len(names))] = length
         tree_b = Tree(taxa_b, leaf_lengths, inner)

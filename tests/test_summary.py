@@ -188,7 +188,10 @@ class TestCompareMeanConsensus:
         tree = random_tree(taxa, rng)
         rows = compare_mean_consensus([tree] * 3, tree, tree)
         lines = render_report(rows, taxa).splitlines()
-        labels = ["|".join(taxa.names[i] for i in split.indices()) for split, _, _ in rows]
+        labels = [
+            "|".join(taxa.names[i] for i in range(taxa.size) if split >> i & 1)
+            for split, _, _ in rows
+        ]
         width = max(map(len, labels))
         assert width > 40
         # every column ends at the same offset on every line
