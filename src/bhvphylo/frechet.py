@@ -52,7 +52,7 @@ def _drop_tiny_splits(tree: Tree) -> Tree:
     inner = {s: l for s, l in tree.inner.items() if l >= _CLEANUP_EPS}
     if len(inner) == len(tree.inner):
         return tree
-    return Tree._adopt(tree.taxa, tree.leaf_lengths, inner)
+    return Tree(tree.taxa, tree.leaf_lengths, inner)
 
 
 def _iterates(trees, cfg: EstimatorConfig, step_size) -> Iterator[Tree]:

@@ -21,11 +21,10 @@ pick the same cover where covers tie exactly or their sums are
 float-exact; a tie decided by float rounding may go either way.  A
 cover's weight adds each side's weights in ascending index order, not
 in the order of max flow's cover sets, which differs from it once a
-side holds 9 or more splits.
-
-Both trees are over one taxon table, so conflicts are tested on the
-split masks directly: two masks normalized away from leaf 0 conflict
-exactly when they meet and neither contains the other.
+side holds 9 or more splits.  Both trees are over one taxon table, so
+conflicts are tested on the split masks directly: two masks normalized
+away from leaf 0 conflict exactly when they meet and neither contains
+the other.
 
 A geodesic is computed in two passes.  The layout holds everything that
 depends only on the two split sets: the common splits, the conflict
@@ -36,6 +35,10 @@ proximal walk meets few distinct pairs, so most of its steps reuse one.
 The length pass reads both trees' lengths through the layout, refines
 each component and builds the path.  A layout holds no lengths and no
 tree and is never changed after it is built.
+
+Norms and the path's length sum plain squares; a sum below _SQUARE_FLOOR
+is redone after the exact power-of-two scale that puts the largest value
+in [0.5, 1), then unscaled, so tiny lengths neither underflow nor lose bits.
 """
 
 from __future__ import annotations
@@ -54,9 +57,7 @@ _REFINE_TOL = 1e-12
 _ENUM_MAX = 7
 # ordered pairs of split sets whose layouts are kept
 _LAYOUT_MEMO = 64
-# a side whose squared lengths sum below this is squared after an exact
-# power-of-two scale, which changes no weight or ratio, and its norm scaled
-# back, so that lengths below about 1e-154 neither underflow nor lose bits
+# sums of squares below this are taken at a power-of-two scale (module docstring)
 _SQUARE_FLOOR = 1e-250
 
 
@@ -102,9 +103,11 @@ class GeodesicPath(_PathFields):
         total += sum([d * d for d in leaf_deltas])
         if not math.isfinite(total):
             raise ArithmeticError(f"the squared geodesic distance is {total}")
-        return tuple.__new__(
-            cls, (source, target, common, supports, leaf_deltas, math.sqrt(total))
-        )
+        length = math.sqrt(total)
+        if total < _SQUARE_FLOOR:
+            sums, deltas = [a + b for _, _, a, b in supports], [ls - lt for _, ls, lt in common]
+            length = _scaled_squares(sums, deltas, leaf_deltas)[2]
+        return tuple.__new__(cls, (source, target, common, supports, leaf_deltas, length))
 
     def __getnewargs__(self):
         return self[:5]
@@ -142,7 +145,7 @@ class GeodesicPath(_PathFields):
                 lengths = target.inner
                 for split in b_side:
                     inner[split] = lengths[split] * scale
-        return Tree._adopt(source.taxa, leaf_lengths, inner)
+        return Tree(source.taxa, leaf_lengths, inner)
 
 
 def _conflict_rows(a_bits: list[int], b_bits: list[int]) -> list[int]:
@@ -226,10 +229,15 @@ def _squares(items: list[tuple]) -> tuple[list[float], float, float]:
     total = sum(squares)
     if total >= _SQUARE_FLOOR:
         return squares, total, math.sqrt(total)
-    shift = -math.frexp(max([l for _, l, _ in items]))[1]
-    squares = [math.ldexp(l, shift) ** 2 for _, l, _ in items]
-    total = sum(squares)
-    return squares, total, math.ldexp(math.sqrt(total), -shift)
+    return _scaled_squares([l for _, l, _ in items])
+
+
+def _scaled_squares(*parts) -> tuple[list[float], float, float]:
+    """(squares, their sum, norm) of `parts` at _SQUARE_FLOOR's scale, summed part by part."""
+    shift = -math.frexp(max([abs(x) for part in parts for x in part]))[1]
+    squares = [[math.ldexp(x, shift) ** 2 for x in part] for part in parts]
+    total = sum([sum(part) for part in squares])
+    return sum(squares, []), total, math.ldexp(math.sqrt(total), -shift)
 
 
 def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) -> None:

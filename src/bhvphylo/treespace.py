@@ -11,11 +11,11 @@ the tree's table, and `split_name` names one by its taxa.  Inner edges
 of length zero are represented by absence from the map; trees with
 fewer than n-2 inner edges are valid non-binary trees.
 
-`TaxonTable` and `Tree` are named tuples: immutable, equal field by
-field, and safe to share across threads (no code changes the dict of a
-tree's inner lengths once the tree holds it).  A `Node` is the vertex
-of the explicit topology that `tree_topology` builds by mutation, and
-each call builds new ones.
+`TaxonTable` and `Tree` are named tuples, equal field by field.  A tree
+keeps the tuple and dict it is built with, and one made from another
+shares what it does not change; no code changes them afterwards, so
+trees are safe to share across threads.  A `Node` is the vertex of the
+explicit topology that `tree_topology` builds by mutation, afresh.
 """
 
 from __future__ import annotations
@@ -95,46 +95,28 @@ def compatible(a: int, b: int) -> bool:
     return meet == 0 or meet == a or meet == b
 
 
-class _TreeFields(NamedTuple):
+class Tree(NamedTuple):
+    """A metric n-tree: taxa, leaf edge lengths, and inner splits with lengths.
+    It keeps what it is built with: a list stays a list, a dict changed later changes it."""
+
     taxa: TaxonTable
     leaf_lengths: tuple[float, ...]
     inner: dict[int, float]
 
-
-class Tree(_TreeFields):
-    """A metric n-tree: taxa, leaf edge lengths, and inner splits with lengths."""
-
-    __slots__ = ()
-
-    def __new__(cls, taxa: TaxonTable, leaf_lengths, inner):
-        # the caller may go on to change what it passed
-        return tuple.__new__(cls, (taxa, tuple(leaf_lengths), dict(inner)))
-
-    @classmethod
-    def _adopt(cls, taxa: TaxonTable, leaf_lengths: tuple[float, ...],
-               inner: dict[int, float]) -> "Tree":
-        """A tree that keeps the tuple and dict it is handed, uncopied: for
-        callers that built them for this tree, or took them from another
-        tree, and change them no more."""
-        return tuple.__new__(cls, (taxa, leaf_lengths, inner))
-
     def with_leaf_length(self, leaf: int, length: float) -> "Tree":
         lengths = list(self.leaf_lengths)
         lengths[leaf] = length
-        return Tree._adopt(self.taxa, tuple(lengths), self.inner)
+        return Tree(self.taxa, tuple(lengths), self.inner)
 
     def with_inner_length(self, split: int, length: float) -> "Tree":
         if split not in self.inner:
             raise KeyError(f"{split_name(split, self.taxa)} not in tree")
-        inner = dict(self.inner)
-        inner[split] = length
-        return Tree._adopt(self.taxa, self.leaf_lengths, inner)
+        return Tree(self.taxa, self.leaf_lengths, {**self.inner, split: length})
 
     def with_split_replaced(self, old: int, new: int) -> "Tree":
         inner = dict(self.inner)
-        length = inner.pop(old)
-        inner[new] = length
-        return Tree._adopt(self.taxa, self.leaf_lengths, inner)
+        inner[new] = inner.pop(old)
+        return Tree(self.taxa, self.leaf_lengths, inner)
 
 
 def _length_problems(tree: Tree) -> list[str]:
@@ -423,7 +405,7 @@ def parse_newick(
         else:
             inner[side] = inner.get(side, 0.0) + length
 
-    tree = Tree._adopt(taxa, tuple(leaf_lengths), inner)
+    tree = Tree(taxa, tuple(leaf_lengths), inner)
     # one parenthesization gives every leaf one length and laminar splits,
     # so only a length can break `validate`: one part, or a sum of parts,
     # that overflowed

@@ -722,7 +722,15 @@ class TestGeometryCommands:
 
     def test_distance_of_conflicting_lengths_whose_squares_underflow(self, capsys):
         assert main(["distance", *TINY_PAIR, "--outgroup", "O"]) == EXIT_OK
-        assert float(capsys.readouterr().out) == pytest.approx(3e-100, rel=1e-15)
+        assert float(capsys.readouterr().out) == pytest.approx(3e-100, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_distance_between_trees_whose_differences_square_to_zero(self, capsys, order):
+        # one split at 1e-170 and 3e-170: every squared difference underflows
+        pair = ["((A:0.1,B:0.1):1e-170,C:0.1,D:0.1,O:0.1);",
+                "((A:0.1,B:0.1):3e-170,C:0.1,D:0.1,O:0.1);"][::order]
+        assert main(["distance", *pair, "--outgroup", "O"]) == EXIT_OK
+        assert float(capsys.readouterr().out) == pytest.approx(2e-170, rel=1e-15, abs=0.0)
 
     def test_interpolate_splits_distance_evenly(self, capsys):
         a = "((A:0.1,B:0.1):0.3,C:0.1,O:0.1);"

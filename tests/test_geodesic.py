@@ -125,24 +125,28 @@ class TestDistance:
         s = parse_newick("(((A:0.1,B:0.1):3e-100,C:0.1):1e-170,D:0.1,O:0.1);", outgroup="O")
         t = parse_newick("(((A:0.1,D:0.1):1e-170,C:0.1):2e-170,B:0.1,O:0.1);", taxa=s.taxa)
         assert brute_force_distance(s, t) == 3e-100
-        assert distance(s, t) == pytest.approx(3e-100, rel=1e-15)
-        assert distance(t, s) == pytest.approx(3e-100, rel=1e-15)
+        assert distance(s, t) == pytest.approx(3e-100, rel=1e-15, abs=0.0)
+        assert distance(t, s) == pytest.approx(3e-100, rel=1e-15, abs=0.0)
 
-    def test_inner_lengths_scaled_by_a_power_of_two_scale_the_supports(self, rng):
+    def test_lengths_scaled_by_a_power_of_two_scale_the_supports_and_length(self, rng):
         # 2**-600 squares to below the smallest double
         def tiny(tree):
+            leaf_lengths = tuple([math.ldexp(length, -600) for length in tree.leaf_lengths])
             inner = {split: math.ldexp(length, -600) for split, length in tree.inner.items()}
-            return Tree(tree.taxa, tree.leaf_lengths, inner)
+            return Tree(tree.taxa, leaf_lengths, inner)
 
         for _ in range(40):
             taxa = make_taxa(rng.randrange(5, 9))
             s = random_tree(taxa, rng, drop_probability=0.2)
             t = random_tree(taxa, rng, drop_probability=0.2)
-            want, got = geodesic(s, t).supports, geodesic(tiny(s), tiny(t)).supports
-            assert [(p.a_side, p.b_side) for p in got] == [(p.a_side, p.b_side) for p in want]
-            assert [(p.a_norm, p.b_norm) for p in got] == [
-                (math.ldexp(p.a_norm, -600), math.ldexp(p.b_norm, -600)) for p in want
+            want, got = geodesic(s, t), geodesic(tiny(s), tiny(t))
+            assert [(p.a_side, p.b_side) for p in got.supports] == [
+                (p.a_side, p.b_side) for p in want.supports
             ]
+            assert [(p.a_norm, p.b_norm) for p in got.supports] == [
+                (math.ldexp(p.a_norm, -600), math.ldexp(p.b_norm, -600)) for p in want.supports
+            ]
+            assert got.length == math.ldexp(want.length, -600)
 
     def test_metric_axioms(self, rng):
         for _ in range(40):

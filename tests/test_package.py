@@ -64,22 +64,54 @@ def test_every_public_function_is_used_by_the_program():
     assert unreferenced_definitions() == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _package_imports(module: ast.Module):
+    """The `from <package module> import ...` statements of a module."""
+    for node in ast.walk(module):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == "bhvphylo"
+        ):
+            yield node
+
+
 def private_imports() -> list[str]:
     """`from <package module> import _name` lines in the package: a name
     with one leading underscore belongs to its own module."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if not (node.level > 0 or (node.module or "").split(".")[0] == "bhvphylo"):
-                continue
+        for node in _package_imports(ast.parse(path.read_text(), str(path))):
             for alias in node.names:
-                name = alias.name
-                if name.startswith("_") and not name.endswith("__"):
-                    found.append(f"{path.name}:{node.lineno} {name}")
+                if _is_private(alias.name):
+                    found.append(f"{path.name}:{node.lineno} {alias.name}")
     return found
 
 
 def test_no_module_imports_a_private_name_of_another():
     assert private_imports() == []
+
+
+def private_attribute_reads() -> list[str]:
+    """`X._name` in the package where X is bound by an import from another
+    package module: the attribute belongs to the module that defines X."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = ast.parse(path.read_text(), str(path))
+        imported = {
+            alias.asname or alias.name for node in _package_imports(module) for alias in node.names
+        }
+        for node in ast.walk(module):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in imported
+                and _is_private(node.attr)
+            ):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_reads_a_private_attribute_of_an_import():
+    assert private_attribute_reads() == []

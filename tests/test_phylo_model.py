@@ -86,7 +86,7 @@ def parsimony_length(tree, column):
 
 class TestMutationProb:
     def test_small_length_limit(self):
-        assert mutation_prob(1e-12) == pytest.approx(1e-12, rel=1e-6)
+        assert mutation_prob(1e-12) == pytest.approx(1e-12, rel=1e-6, abs=0.0)
 
     def test_large_length_limit(self):
         assert mutation_prob(50.0) == pytest.approx(1.0, abs=1e-15)

@@ -199,14 +199,15 @@ class TestValidate:
 
 
 class TestTreeConstruction:
-    def test_public_constructor_copies_what_it_is_handed(self):
-        leaf_lengths = [0.1] * 5
+    def test_holds_the_very_tuple_and_dict_it_is_built_with(self):
+        taxa, leaf_lengths = make_taxa(5), (0.1,) * 5
         inner = {split_of({1, 2}, 5): 0.2}
-        tree = Tree(make_taxa(5), leaf_lengths, inner)
-        leaf_lengths[0] = 9.0
-        inner[split_of({3, 4}, 5)] = 0.3
-        assert tree.leaf_lengths == (0.1,) * 5
-        assert tree.inner == {split_of({1, 2}, 5): 0.2}
+        tree = Tree(taxa, leaf_lengths, inner)
+        assert tree.taxa is taxa
+        assert tree.leaf_lengths is leaf_lengths
+        assert tree.inner is inner
+        assert tuple(tree) == (taxa, leaf_lengths, inner)
+        assert tree.with_leaf_length(0, 0.3).inner is inner
 
     def test_edits_return_new_trees_and_leave_the_original_unchanged(self):
         cherry, other = split_of({1, 2}, 5), split_of({1, 3}, 5)
