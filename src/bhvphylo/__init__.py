@@ -11,7 +11,6 @@ from .treespace import (
     validate,
 )
 from .geodesic import GeodesicPath, SupportPair, distance, interpolate
-from .maxflow import FlowNetwork, max_flow
 from .frechet import EstimatorConfig, mean, median, variance
 from .phylo_model import (
     Alignment,
@@ -31,7 +30,6 @@ __all__ = [
     "ChainState",
     "DirichletPrior",
     "EstimatorConfig",
-    "FlowNetwork",
     "GammaPrior",
     "GeodesicPath",
     "InvalidTreeError",
@@ -47,7 +45,6 @@ __all__ = [
     "distance",
     "interpolate",
     "log_likelihood",
-    "max_flow",
     "log_posterior",
     "log_prior",
     "mean",

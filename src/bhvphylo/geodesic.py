@@ -18,13 +18,12 @@ split of each tree; no cover is sought for it.  When the smaller side
 holds at most _ENUM_MAX splits, the cover is found by enumerating the
 subsets of that side; max flow runs only on larger networks.  The two
 pick the same cover where covers tie exactly or their sums are
-float-exact; a tie decided by float rounding may go either way.  A
-cover's weight adds each side's weights in ascending index order, not
-in the order of max flow's cover sets, which differs from it once a
-side holds 9 or more splits.  Both trees are over one taxon table, so
-conflicts are tested on the split masks directly: two masks normalized
-away from leaf 0 conflict exactly when they meet and neither contains
-the other.
+float-exact; a tie decided by float rounding may go either way.  Both
+read the network as bit rows and give the cover as two index masks,
+whose weight adds each side's weights in ascending index order.  The
+trees are over one taxon table, so conflicts are tested on the split
+masks directly: two masks normalized away from leaf 0 conflict exactly
+when they meet and neither contains the other.
 
 A geodesic is computed in two passes.  The layout holds everything that
 depends only on the two split sets: the common splits, the conflict
@@ -193,11 +192,8 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     """
     na, nb = len(a_weights), len(b_weights)
     if min(na, nb) > _ENUM_MAX:
-        edges = tuple((i, j) for i, row in enumerate(rows) for j in range(nb) if row >> j & 1)
-        _, (cover_a, cover_b) = max_flow(FlowNetwork(a_weights, b_weights, edges))
-        mask_a = sum(1 << i for i in cover_a)
-        mask_b = sum(1 << j for j in cover_b)
-        return _mask_sum(a_weights, mask_a) + _mask_sum(b_weights, mask_b), mask_a, mask_b
+        _, cover_a, cover_b = max_flow(FlowNetwork(a_weights, b_weights, rows))
+        return _mask_sum(a_weights, cover_a) + _mask_sum(b_weights, cover_b), cover_a, cover_b
     small_is_a = na <= nb
     if small_is_a:
         small, large, conflicts = a_weights, b_weights, rows

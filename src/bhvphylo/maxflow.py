@@ -10,8 +10,10 @@ every incompatibility edge.  Flow is augmented along shortest residual
 paths (Edmonds-Karp) until none is left.  The max flow equals the min
 cover weight, and the cover is read off the final residual graph.
 
-The residual graph is kept per side in lists: the residual capacity of
-each source arc and each sink arc, the adjacency of each vertex in edge
+The network arrives as the geodesic holds it, one bit row per vertex a,
+and its edges are taken row by row, each row in index order.  The
+residual graph is kept per side in lists: the residual capacity of each
+source arc and each sink arc, the adjacency of each vertex in that edge
 order, and a table of the flow on each a -> b arc, which is the residual
 capacity of its reverse arc.  The source and the sink are not vertices.
 The breadth-first search goes one layer at a time in the order a search
@@ -33,38 +35,23 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
-class _FlowFields(NamedTuple):
-    a_weights: tuple[float, ...]
-    b_weights: tuple[float, ...]
-    edges: tuple[tuple[int, int], ...]
+class FlowNetwork(NamedTuple):
+    """Vertex weights for the two sides and the incompatibility edges as
+    rows: bit j of rows[i] is set when A vertex i conflicts with B vertex j.
 
-
-class FlowNetwork(_FlowFields):
-    """Vertex weights for the two sides plus the incompatibility edges.
-
-    Any sequences are accepted and copied into tuples (the edges into a
-    tuple of pairs), so a network is immutable and hashable.
+    Weights must be nonnegative; nothing is checked or copied.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, a_weights, b_weights, edges):
-        a_weights, b_weights = tuple(a_weights), tuple(b_weights)
-        edges = tuple(map(tuple, edges))
-        if any(w < 0 for w in a_weights) or any(w < 0 for w in b_weights):
-            raise ValueError("vertex weights must be nonnegative")
-        na, nb = len(a_weights), len(b_weights)
-        for i, j in edges:
-            if not (0 <= i < na and 0 <= j < nb):
-                raise ValueError(f"edge ({i},{j}) out of range")
-        return tuple.__new__(cls, (a_weights, b_weights, edges))
+    a_weights: list[float]
+    b_weights: list[float]
+    rows: list[int]
 
 
-def max_flow(net: FlowNetwork) -> tuple[float, tuple[frozenset[int], frozenset[int]]]:
+def max_flow(net: FlowNetwork) -> tuple[float, int, int]:
     """Max flow value and the minimum vertex cover it certifies.
 
-    Returns (flow, (cover_a, cover_b)) where cover_a/cover_b index into
-    the two weight tuples.  cover_a holds the first-side vertices that
+    Returns (flow, cover_a, cover_b), the covers as index masks of the
+    two weight sequences.  cover_a holds the first-side vertices that
     still reach the sink in the final residual graph and cover_b the
     second-side vertices that do not; this is the smallest sink side of
     any minimum cut, so ties break the same way for every max flow.
@@ -74,9 +61,11 @@ def max_flow(net: FlowNetwork) -> tuple[float, tuple[frozenset[int], frozenset[i
     na, nb = len(a_cap), len(b_cap)
     a_adj: list[list[int]] = [[] for _ in range(na)]
     b_adj: list[list[int]] = [[] for _ in range(nb)]
-    for i, j in dict.fromkeys(net.edges):
-        a_adj[i].append(j)
-        b_adj[j].append(i)
+    for i, row in enumerate(net.rows):
+        for j in range(nb):
+            if row >> j & 1:
+                a_adj[i].append(j)
+                b_adj[j].append(i)
     # back[j][i]: flow on a_i -> b_j, the residual capacity of b_j -> a_i
     back = [[0.0] * na for _ in range(nb)]
 
@@ -149,6 +138,6 @@ def max_flow(net: FlowNetwork) -> tuple[float, tuple[frozenset[int], frozenset[i
                         reach_b[k] = True
                         stack.append(k)
 
-    cover_a = frozenset(i for i in range(na) if reach_a[i])
-    cover_b = frozenset(j for j in range(nb) if not reach_b[j])
-    return flow, (cover_a, cover_b)
+    cover_a = sum([1 << i for i in range(na) if reach_a[i]])
+    cover_b = sum([1 << j for j in range(nb) if not reach_b[j]])
+    return flow, cover_a, cover_b

@@ -175,7 +175,9 @@ _REFINE_TOL = 1e-12
 
 
 def reference_max_flow(net: FlowNetwork):
-    """(flow, (cover_a, cover_b)) by Edmonds-Karp on a dict-of-dicts residual."""
+    """(flow, cover_a, cover_b) by Edmonds-Karp on a dict-of-dicts residual,
+    the covers as index masks; the edges are read row by row.
+    """
     na, nb = len(net.a_weights), len(net.b_weights)
     # vertices: 0..na-1 first side, na..na+nb-1 second side, then source, sink
     source, sink = na + nb, na + nb + 1
@@ -187,8 +189,10 @@ def reference_max_flow(net: FlowNetwork):
 
     for i, w in enumerate(net.a_weights):
         add_arc(source, i, w)
-    for i, j in net.edges:
-        add_arc(i, na + j, math.inf)
+    for i, row in enumerate(net.rows):
+        for j in range(nb):
+            if row >> j & 1:
+                add_arc(i, na + j, math.inf)
     for j, w in enumerate(net.b_weights):
         add_arc(na + j, sink, w)
 
@@ -224,35 +228,33 @@ def reference_max_flow(net: FlowNetwork):
                 reaches.add(u)
                 queue.append(u)
 
-    cover_a = frozenset(i for i in range(na) if i in reaches)
-    cover_b = frozenset(j for j in range(nb) if na + j not in reaches)
-    return flow, (cover_a, cover_b)
+    cover_a = sum(1 << i for i in range(na) if i in reaches)
+    cover_b = sum(1 << j for j in range(nb) if na + j not in reaches)
+    return flow, cover_a, cover_b
 
 
 def reference_refine(a_items, b_items, out) -> None:
     """Split (A, B) on minimum covers until none weighs less than one."""
     norm_a2 = sum(l * l for _, l in a_items)
     norm_b2 = sum(l * l for _, l in b_items)
-    edges = [
-        (i, j)
-        for i, (a, _) in enumerate(a_items)
-        for j, (b, _) in enumerate(b_items)
-        if not compatible(a, b)
+    rows = [
+        sum(1 << j for j, (b, _) in enumerate(b_items) if not compatible(a, b))
+        for a, _ in a_items
     ]
     net = FlowNetwork(
-        tuple(l * l / norm_a2 for _, l in a_items),
-        tuple(l * l / norm_b2 for _, l in b_items),
-        tuple(edges),
+        [l * l / norm_a2 for _, l in a_items],
+        [l * l / norm_b2 for _, l in b_items],
+        rows,
     )
-    _, (cover_a, cover_b) = reference_max_flow(net)
-    weight = sum(net.a_weights[i] for i in cover_a) + sum(
-        net.b_weights[j] for j in cover_b
+    _, cover_a, cover_b = reference_max_flow(net)
+    weight = sum(w for i, w in enumerate(net.a_weights) if cover_a >> i & 1) + sum(
+        w for j, w in enumerate(net.b_weights) if cover_b >> j & 1
     )
     if weight < 1.0 - _REFINE_TOL:
-        c1 = [a_items[i] for i in range(len(a_items)) if i in cover_a]
-        c2 = [a_items[i] for i in range(len(a_items)) if i not in cover_a]
-        d1 = [b_items[j] for j in range(len(b_items)) if j not in cover_b]
-        d2 = [b_items[j] for j in range(len(b_items)) if j in cover_b]
+        c1 = [a for i, a in enumerate(a_items) if cover_a >> i & 1]
+        c2 = [a for i, a in enumerate(a_items) if not cover_a >> i & 1]
+        d1 = [b for j, b in enumerate(b_items) if not cover_b >> j & 1]
+        d2 = [b for j, b in enumerate(b_items) if cover_b >> j & 1]
         if c1 and c2 and d1 and d2:
             reference_refine(c1, d1, out)
             reference_refine(c2, d2, out)
@@ -356,14 +358,21 @@ def reference_point(path: GeodesicPath, lam: float) -> Tree:
 # ---------------------------------------------------------------------------
 # Minimum-weight vertex cover by subset enumeration
 
-def brute_force_min_cover(a_weights, b_weights, edges):
-    """(weight, cover) of a minimum-weight vertex cover, by enumeration."""
+def covers(rows, a_mask: int, b_mask: int) -> bool:
+    """Whether the masks cover every edge; bit j of rows[i] is edge (i, j)."""
+    return all(a_mask >> i & 1 or not row & ~b_mask for i, row in enumerate(rows))
+
+
+def brute_force_min_cover(a_weights, b_weights, rows):
+    """(weight, (A mask, B mask)) of a minimum-weight vertex cover, by
+    enumeration; bit j of rows[i] is set when A vertex i meets B vertex j.
+    """
     na, nb = len(a_weights), len(b_weights)
     best_weight = math.inf
     best_cover = None
     for a_mask in range(1 << na):
         for b_mask in range(1 << nb):
-            if all(a_mask >> i & 1 or b_mask >> j & 1 for i, j in edges):
+            if covers(rows, a_mask, b_mask):
                 weight = sum(a_weights[i] for i in range(na) if a_mask >> i & 1)
                 weight += sum(b_weights[j] for j in range(nb) if b_mask >> j & 1)
                 if weight < best_weight:

@@ -38,6 +38,7 @@ from conftest import assert_same_path, make_taxa, random_tree, spider_tree, spli
 from oracles import (
     brute_force_distance,
     brute_force_min_cover,
+    covers,
     reference_geodesic,
     reference_point,
     reference_refine,
@@ -536,17 +537,18 @@ class TestOneSplitSide:
             k = rng.randrange(1, 6)
             lengths = [rng.uniform(0.05, 1.0) for _ in range(k)]
             many = tuple(l * l / sum(x * x for x in lengths) for l in lengths)
-            edges = [(0, j) for j in range(k) if trial % 3 == 0 or rng.random() < 0.6]
+            hit = [j for j in range(k) if trial % 3 == 0 or rng.random() < 0.6]
             if trial % 2:
                 a_weights, b_weights = (1.0,), many
+                rows = [sum(1 << j for j in hit)]
             else:
                 a_weights, b_weights = many, (1.0,)
-                edges = [(j, i) for i, j in edges]
-            best, _ = brute_force_min_cover(a_weights, b_weights, edges)
+                rows = [int(j in hit) for j in range(k)]
+            best, _ = brute_force_min_cover(a_weights, b_weights, rows)
             na, nb = len(a_weights), len(b_weights)
             for a_mask in range(1 << na):
                 for b_mask in range(1 << nb):
-                    if not all(a_mask >> i & 1 or b_mask >> j & 1 for i, j in edges):
+                    if not covers(rows, a_mask, b_mask):
                         continue
                     weight = sum(a_weights[i] for i in range(na) if a_mask >> i & 1)
                     weight += sum(b_weights[j] for j in range(nb) if b_mask >> j & 1)
@@ -554,17 +556,15 @@ class TestOneSplitSide:
                         continue
                     parts = (a_mask, ~a_mask & ((1 << na) - 1),
                              ~b_mask & ((1 << nb) - 1), b_mask)
-                    assert not all(parts), (a_weights, b_weights, edges)
+                    assert not all(parts), (a_weights, b_weights, rows)
 
 
 def max_flow_cover(a_weights, b_weights, rows):
     """(weight, A mask, B mask) of max_flow's cover, weighed in index order."""
-    nb = len(b_weights)
-    edges = [(i, j) for i, row in enumerate(rows) for j in range(nb) if row >> j & 1]
-    _, (cover_a, cover_b) = max_flow(FlowNetwork(a_weights, b_weights, edges))
-    weight = sum((a_weights[i] for i in sorted(cover_a)), 0.0)
-    weight += sum((b_weights[j] for j in sorted(cover_b)), 0.0)
-    return weight, sum(1 << i for i in cover_a), sum(1 << j for j in cover_b)
+    _, cover_a, cover_b = max_flow(FlowNetwork(a_weights, b_weights, rows))
+    weight = sum([w for i, w in enumerate(a_weights) if cover_a >> i & 1], 0.0)
+    weight += sum([w for j, w in enumerate(b_weights) if cover_b >> j & 1], 0.0)
+    return weight, cover_a, cover_b
 
 
 def cover_networks(rng, trials):
@@ -628,10 +628,9 @@ class TestEnumeratedCover:
             na, nb = len(a_weights), len(b_weights)
             if na + nb > 10:
                 continue
-            edges = [(i, j) for i, row in enumerate(rows) for j in range(nb) if row >> j & 1]
             weight, cover_a, cover_b = _min_cover(a_weights, b_weights, rows)
-            assert all(cover_a >> i & 1 or cover_b >> j & 1 for i, j in edges)
-            best, _ = brute_force_min_cover(a_weights, b_weights, edges)
+            assert covers(rows, cover_a, cover_b)
+            best, _ = brute_force_min_cover(a_weights, b_weights, rows)
             assert weight == pytest.approx(best, abs=1e-12)
 
     def test_ties_go_to_the_cover_with_fewest_a_vertices(self):
