@@ -106,7 +106,13 @@ def mean(trees, cfg: EstimatorConfig = EstimatorConfig()) -> Tree:
 
 
 def variance(trees, at: Tree) -> float:
-    """Mean squared distance from `at` to the trees; Var(T) when `at` is the mean."""
+    """Mean squared distance from `at` to the trees; Var(T) when `at` is the mean.
+
+    Raises ArithmeticError when the squared distances sum past the largest float.
+    """
     common_taxa(trees)
-    return sum(distance(at, t) ** 2 for t in trees) / len(trees)
+    total = sum([d * d for d in [distance(at, t) for t in trees]])
+    if total == math.inf:
+        raise ArithmeticError("the variance overflows: its squared distances sum to inf")
+    return total / len(trees)
 

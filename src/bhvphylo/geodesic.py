@@ -35,9 +35,11 @@ The length pass reads both trees' lengths through the layout, refines
 each component and builds the path.  A layout holds no lengths and no
 tree and is never changed after it is built.
 
-Norms and the path's length sum plain squares; a sum below _SQUARE_FLOOR
-is redone after the exact power-of-two scale that puts the largest value
-in [0.5, 1), then unscaled, so tiny lengths neither underflow nor lose bits.
+Norms and the path's length sum squares taken as x * x, which is
+correctly rounded and so commutes with a power-of-two scale, where libm's
+pow(x, 2) may not; a sum below _SQUARE_FLOOR is redone after the exact
+power-of-two scale that puts the largest value in [0.5, 1), then
+unscaled, so tiny lengths neither underflow nor lose bits.
 """
 
 from __future__ import annotations
@@ -97,8 +99,8 @@ class GeodesicPath(_PathFields):
     def __new__(cls, source: Tree, target: Tree,
                 common: tuple[tuple[int, float, float], ...],
                 supports: tuple[SupportPair, ...], leaf_deltas: tuple[float, ...]):
-        total = sum([(a + b) ** 2 for _, _, a, b in supports])
-        total += sum([(ls - lt) ** 2 for _, ls, lt in common])
+        total = sum([(a + b) * (a + b) for _, _, a, b in supports])
+        total += sum([(ls - lt) * (ls - lt) for _, ls, lt in common])
         total += sum([d * d for d in leaf_deltas])
         if not math.isfinite(total):
             raise ArithmeticError(f"the squared geodesic distance is {total}")
@@ -231,7 +233,7 @@ def _squares(items: list[tuple]) -> tuple[list[float], float, float]:
 def _scaled_squares(*parts) -> tuple[list[float], float, float]:
     """(squares, their sum, norm) of `parts` at _SQUARE_FLOOR's scale, summed part by part."""
     shift = -math.frexp(max([abs(x) for part in parts for x in part]))[1]
-    squares = [[math.ldexp(x, shift) ** 2 for x in part] for part in parts]
+    squares = [[y * y for y in [math.ldexp(x, shift) for x in part]] for part in parts]
     total = sum([sum(part) for part in squares])
     return sum(squares, []), total, math.ldexp(math.sqrt(total), -shift)
 

@@ -36,7 +36,10 @@ def split_frequencies(samples, bins: int = DEFAULT_BINS) -> list[SplitStats]:
     records = []
     for split, values in _split_lengths(samples).items():
         top = max(values)
-        edges = [top * i / bins for i in range(bins + 1)]
+        if top * bins < math.inf:
+            edges = [top * i / bins for i in range(bins + 1)]
+        else:  # top * i would overflow; the last edge is 1.0 * top
+            edges = [i / bins * top for i in range(bins + 1)]
         counts = [0] * bins
         for value in values:
             index = min(int(value / top * bins), bins - 1) if top > 0 else 0

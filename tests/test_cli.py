@@ -608,6 +608,23 @@ class TestEstimators:
         assert out == ""
         assert "numerical failure:" in err
 
+    @pytest.mark.parametrize("command", ["mean", "median"])
+    def test_overflowing_variance_exits_three_printing_nothing(
+        self, command, tmp_path, capsys
+    ):
+        # every distance to the estimate is finite, but their squares sum
+        # beyond the float range
+        path = tmp_path / "trees.nwk"
+        path.write_text(
+            "((A:0.1,B:0.2):6e153,(C:0.3,D:0.1):0.07,O:0.1);\n"
+            "((A:0.1,C:0.2):6e153,(B:0.3,D:0.1):0.07,O:0.1);\n" * 50
+        )
+        rc = main([command, str(path), "--steps", "200"])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_NUMERICAL
+        assert out == ""
+        assert "numerical failure: the variance overflows" in err
+
     def test_path_through_a_regular_file_is_input_error(self, tmp_path, capsys):
         regular = tmp_path / "trees.nwk"
         regular.write_text("((A:0.1,B:0.2):0.05,C:0.3,O:0.1);\n")

@@ -115,3 +115,24 @@ def private_attribute_reads() -> list[str]:
 
 def test_no_module_reads_a_private_attribute_of_an_import():
     assert private_attribute_reads() == []
+
+
+def squares_by_power() -> list[str]:
+    """`x ** 2` in the package.  A square is written `x * x`, which is
+    correctly rounded and so exact under a power-of-two scale; libm's
+    pow(x, 2) is not always, and the geodesic's tiny-length rule needs it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Pow)
+                and isinstance(node.right, ast.Constant)
+                and node.right.value == 2
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_squares_with_a_power():
+    assert squares_by_power() == []

@@ -1,10 +1,12 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from bhvphylo.frechet import EstimatorConfig, mean
 from bhvphylo.summary import (
+    DEFAULT_BINS,
     compare_mean_consensus,
     consensus_majority,
     render_report,
@@ -63,6 +65,26 @@ class TestSplitFrequencies:
         records = split_frequencies(samples, bins=7)
         assert len(records[0].counts) == 7
         assert len(records[0].bin_edges) == 8
+
+    def test_bin_edges_of_lengths_near_the_float_limit_are_finite(self):
+        taxa = TaxonTable(("O", "A", "B", "C", "D"))
+        samples = [
+            Tree(taxa, (0.1,) * 5, {split_of({1, 2}, 5): length}) for length in (1e307, 5e306)
+        ]
+        (record,) = split_frequencies(samples)
+        edges = record.bin_edges
+        assert all(map(math.isfinite, edges))
+        assert edges[0] == 0.0 and edges[-1] == 1e307
+        assert list(edges) == sorted(edges)
+        assert sum(record.counts) == 2 and record.counts[-1] == 1
+
+    def test_bin_edges_are_top_times_i_over_bins_while_top_times_bins_is_finite(self, rng):
+        for top in [rng.uniform(0.01, 10.0) for _ in range(20)] + [1e306, 3.5e306]:
+            samples = spider_samples({(1, 2): 1}, length=top)
+            (record,) = split_frequencies(samples)
+            assert record.bin_edges == tuple(
+                top * i / DEFAULT_BINS for i in range(DEFAULT_BINS + 1)
+            )
 
     def test_ordering_by_frequency_then_mask(self):
         samples = spider_samples({(1, 2): 3, (1, 3): 7})
