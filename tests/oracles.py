@@ -54,8 +54,7 @@ from bhvphylo.cli import (
     cmd_simulate,
     cmd_splits,
 )
-from bhvphylo.geodesic import GeodesicPath, SupportPair, distance
-from bhvphylo.maxflow import FlowNetwork
+from bhvphylo.geodesic import FlowNetwork, GeodesicPath, SupportPair, distance
 from bhvphylo.phylo_model import N_SYMBOLS, ColumnLikelihoodError, mutation_prob
 from bhvphylo.summary import DEFAULT_BINS
 from bhvphylo.treespace import (

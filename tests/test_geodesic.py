@@ -15,6 +15,7 @@ from bhvphylo import geodesic as geodesic_module
 from bhvphylo.frechet import EstimatorConfig
 from bhvphylo.geodesic import (
     _ENUM_MAX,
+    FlowNetwork,
     GeodesicPath,
     SupportPair,
     _conflict_rows,
@@ -23,8 +24,8 @@ from bhvphylo.geodesic import (
     distance,
     geodesic,
     interpolate,
+    max_flow,
 )
-from bhvphylo.maxflow import FlowNetwork, max_flow
 from bhvphylo.mcmc import nni_neighbors
 from bhvphylo.treespace import (
     Tree,

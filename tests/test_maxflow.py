@@ -1,6 +1,6 @@
 import pytest
 
-from bhvphylo.maxflow import FlowNetwork, max_flow
+from bhvphylo.geodesic import FlowNetwork, max_flow
 
 from oracles import brute_force_min_cover, covers, reference_max_flow
 
