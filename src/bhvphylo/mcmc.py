@@ -191,6 +191,9 @@ def initial_tree(alignment: Alignment, run: RunConfig, rng: random.Random) -> Tr
     n_leaves = alignment.taxa.size
     splits = random_binary_splits(n_leaves, rng)
     shape, scale = run.gamma.shape, run.gamma.scale
+    # gammavariate takes sqrt(2 * shape - 1) and never returns once it is inf
+    if 2.0 * shape == math.inf:
+        raise ArithmeticError(f"gamma prior shape {shape!r} is too large to draw from")
     leaf_lengths = tuple(rng.gammavariate(shape, scale) for _ in range(n_leaves))
     inner = {s: rng.gammavariate(shape, scale) for s in sorted(splits)}
     tree = Tree(alignment.taxa, leaf_lengths, inner)

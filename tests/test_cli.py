@@ -17,8 +17,10 @@ import bhvphylo.cli as cli
 import bhvphylo.mcmc as mcmc
 from bhvphylo import __version__
 from bhvphylo.cli import COMMANDS, EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from bhvphylo.frechet import EstimatorConfig
 from bhvphylo.geodesic import distance
-from bhvphylo.phylo_model import ColumnLikelihoodError
+from bhvphylo.mcmc import ProposalConfig, RunConfig
+from bhvphylo.phylo_model import N_SYMBOLS, ColumnLikelihoodError, DirichletPrior, GammaPrior
 from bhvphylo.treespace import NewickError, Tree, load_samples, parse_newick, serialize_newick
 
 from conftest import trees_close
@@ -39,6 +41,20 @@ def write_fasta(path, sequences):
         lines.append(f">{name}")
         lines.append(seq)
     path.write_text("\n".join(lines) + "\n")
+
+
+def run_cli(argv, cwd):
+    """`bhvphylo argv` in a fresh interpreter; a command that does not
+    end within 30 s fails the test rather than hanging the suite."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "bhvphylo.cli", *argv],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
 
 
 @pytest.fixture
@@ -188,6 +204,29 @@ class TestSimulate:
         records = cli.read_fasta(out)
         assert len(records) == 5
         assert all(len(seq) == 40 for _, seq in records)
+
+    def test_an_alpha_too_large_to_draw_from_exits_three_at_once(self, tmp_path):
+        # Gamma(alpha + 1) draws never return once 2 * (alpha + 1) overflows
+        argv = ["simulate", DEMO_TREE, "--columns", "2", "--seed", "1",
+                "--alpha", "9e307", "--outgroup", "O", "--out", "aln.fasta"]
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stderr == (
+            "numerical failure: Dirichlet pseudocount 9e+307 is too large to draw from\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_subnormal_alpha_is_a_numerical_failure(self, tmp_path, capsys):
+        # every log(U) / alpha overflows to -inf, so no symbol has a weight
+        out = tmp_path / "aln.fasta"
+        argv = ["simulate", DEMO_TREE, "--columns", "2", "--seed", "1",
+                "--alpha", "1e-320", "--out", str(out)]
+        assert main(argv) == EXIT_NUMERICAL
+        assert capsys.readouterr().err == (
+            "numerical failure: Dirichlet pseudocount 1e-320 is too small: "
+            "every weight underflows\n"
+        )
+        assert not out.exists()
 
     def test_negative_columns_is_input_error(self, tmp_path, capsys):
         path = tmp_path / "neg.fasta"
@@ -459,6 +498,19 @@ class TestSample:
         assert err.startswith("numerical failure: gamma prior draw gave a non-positive")
         assert re.search(r"length on (leaf|inner) edge", err)
         assert not (tmp_path / "x.samples").exists()
+
+    def test_a_gamma_shape_too_large_to_draw_from_exits_three_at_once(
+        self, tmp_path, demo_fasta
+    ):
+        # gamma draws never return once 2 * shape overflows
+        argv = ["sample", str(demo_fasta), "--out", "r", "--seed", "1",
+                "--iters", "20", "--burnin", "5", "--shape", "9e307"]
+        result = run_cli(argv, tmp_path)
+        assert result.returncode == EXIT_NUMERICAL
+        assert result.stderr == (
+            "numerical failure: gamma prior shape 9e+307 is too large to draw from\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == [demo_fasta.name]
 
     def test_missing_file_is_input_error(self, tmp_path):
         rc = main(
@@ -870,6 +922,44 @@ def command_lines(draw, broken=None):
     elif broken == "unknown command":
         argv[0] = command[:-1]
     return argv
+
+
+# (command, option, the library default it stands for).  perfbench/verify.py
+# recomputes each chain's log posterior under DirichletPrior() and
+# GammaPrior(), so a CLI default that drifts from these fails its checks.
+_RUN, _PROPOSAL, _ESTIMATE = RunConfig(), ProposalConfig(), EstimatorConfig()
+LIBRARY_DEFAULTS = [
+    ("sample", "--alpha", DirichletPrior().alpha),
+    ("sample", "--shape", GammaPrior().shape),
+    ("sample", "--scale", GammaPrior().scale),
+    ("sample", "--tau", _PROPOSAL.tau),
+    ("sample", "--sigma", _PROPOSAL.sigma),
+    ("sample", "--chains", _RUN.chains),
+    ("sample", "--iters", _RUN.iterations),
+    ("sample", "--burnin", _RUN.burn_in),
+    ("sample", "--thin", _RUN.thin),
+    *[
+        (command, option, value)
+        for command in ("mean", "median")
+        for option, value in [
+            ("--order", _ESTIMATE.order),
+            ("--seed", _ESTIMATE.seed),
+            ("--tolerance", _ESTIMATE.tolerance),
+            ("--steps", _ESTIMATE.iterations),
+        ]
+    ],
+    ("compare", "--seed", _ESTIMATE.seed),
+    ("compare", "--steps", _ESTIMATE.iterations),
+    ("simulate", "--alpha", DirichletPrior().alpha),
+]
+
+
+@pytest.mark.parametrize("command,option,library", LIBRARY_DEFAULTS)
+def test_option_default_is_the_library_default(command, option, library):
+    default = COMMANDS[command].options[option].default
+    if option == "--alpha":  # one pseudocount for every symbol
+        default = (default,) * N_SYMBOLS
+    assert default == library
 
 
 def _arguments(namespace) -> dict:

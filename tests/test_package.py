@@ -10,6 +10,9 @@ entries of `__all__` and the names `perfbench` patches.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -136,3 +139,24 @@ def squares_by_power() -> list[str]:
 
 def test_no_module_squares_with_a_power():
     assert squares_by_power() == []
+
+
+def untraceable_sites() -> list[str]:
+    """The (module, attribute) sites of perfbench/tracing.py that do not
+    name a callable once the command line is imported.  The tracer wraps
+    each site; a moved or renamed function silently drops its metrics."""
+    importlib.import_module("bhvphylo.cli")
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    sites = [(module, attr) for module, attr, _, _ in tracing.TARGETS]
+    sites.append(tracing.STEP_TARGET[:2])
+    return [
+        f"{module}.{attr}"
+        for module, attr in sites
+        if not callable(getattr(sys.modules.get(module), attr, None))
+    ]
+
+
+def test_every_tracer_site_names_a_callable():
+    assert untraceable_sites() == []
