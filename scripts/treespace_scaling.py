@@ -63,8 +63,7 @@ import numpy as np  # noqa: E402
 from bhvphylo import frechet  # noqa: E402
 from bhvphylo import geodesic as geodesic_module  # noqa: E402
 from bhvphylo.frechet import EstimatorConfig  # noqa: E402
-from bhvphylo.geodesic import GeodesicPath, geodesic  # noqa: E402
-from bhvphylo.geodesic import max_flow  # noqa: E402
+from bhvphylo.geodesic import GeodesicPath, geodesic, max_flow  # noqa: E402
 from bhvphylo.mcmc import nni_neighbors  # noqa: E402
 from bhvphylo.treespace import (  # noqa: E402
     TaxonTable,

@@ -248,8 +248,8 @@ def cmd_simulate(args) -> int:
         raise InputError(f"seed must be a nonnegative integer, got {args.seed!r}")
     tree = _read_tree_arg(args.tree, outgroup=args.outgroup)
     # gammavariate takes sqrt(2 * shape - 1) and never returns once it is inf
-    if 2.0 * (args.alpha + 1.0) == math.inf:
-        raise ArithmeticError(f"Dirichlet pseudocount {args.alpha!r} is too large to draw from")
+    if 2.0 * (alpha[0] + 1.0) == math.inf:
+        raise ArithmeticError(f"Dirichlet pseudocount {alpha[0]!r} is too large to draw from")
     rng = random.Random(args.seed)
     root = tree_topology(tree)
     names = tree.taxa.names
@@ -275,10 +275,8 @@ def cmd_simulate(args) -> int:
             for a in alpha
         ]
         peak = max(logs)
-        if peak == -math.inf:
-            raise ArithmeticError(
-                f"Dirichlet pseudocount {args.alpha!r} is too small: every weight underflows"
-            )
+        if peak == -math.inf:  # every weight underflows
+            raise ArithmeticError(f"Dirichlet pseudocount {alpha[0]!r} is too small to draw from")
         theta = [math.exp(x - peak) for x in logs]
         evolve(root, rng.choices(range(N_SYMBOLS), theta)[0], theta)
 

@@ -314,9 +314,9 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     rows[i] masks the B vertices conflicting with A vertex i.
 
     Enumeration tries each set U of the smaller side left uncovered, with
-    the union N(U) of their conflicts covered on the other side.  The
-    fewest A vertices mean the largest U on A, the smallest U on B, and
-    every zero-weight B vertex covered.
+    the union N(U) of their conflicts covered on the other side.  An exact
+    tie goes to the fewest A vertices: the largest U on A, the smallest U
+    on B, and every zero-weight B vertex covered.
     """
     na, nb = len(a_weights), len(b_weights)
     if min(na, nb) > _ENUM_MAX:

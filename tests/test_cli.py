@@ -223,8 +223,7 @@ class TestSimulate:
                 "--alpha", "1e-320", "--out", str(out)]
         assert main(argv) == EXIT_NUMERICAL
         assert capsys.readouterr().err == (
-            "numerical failure: Dirichlet pseudocount 1e-320 is too small: "
-            "every weight underflows\n"
+            "numerical failure: Dirichlet pseudocount 1e-320 is too small to draw from\n"
         )
         assert not out.exists()
 

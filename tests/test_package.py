@@ -10,7 +10,6 @@ entries of `__all__` and the names `perfbench` patches.
 """
 
 import ast
-import importlib
 import importlib.util
 import sys
 from pathlib import Path
