@@ -59,11 +59,9 @@ The length pass reads both trees' lengths through the layout, refines
 each component and builds the path.  A layout holds no lengths and no
 tree and is never changed after it is built.
 
-Norms and the path's length sum squares taken as x * x, which is
-correctly rounded and so commutes with a power-of-two scale, where libm's
-pow(x, 2) may not; a sum below _SQUARE_FLOOR is redone after the exact
-power-of-two scale that puts the largest value in [0.5, 1), then
-unscaled, so tiny lengths neither underflow nor lose bits.
+Every norm and the path's length is one math.hypot, which scales by a
+power of two itself, so tiny lengths neither underflow nor lose bits and
+a power-of-two scale of all lengths scales the path exactly.
 """
 
 from __future__ import annotations
@@ -80,8 +78,6 @@ _REFINE_TOL = 1e-12
 _ENUM_MAX = 7
 # ordered pairs of split sets whose layouts are kept
 _LAYOUT_MEMO = 64
-# sums of squares below this are taken at a power-of-two scale (module docstring)
-_SQUARE_FLOOR = 1e-250
 
 
 class SupportPair(NamedTuple):
@@ -121,15 +117,11 @@ class GeodesicPath(_PathFields):
     def __new__(cls, source: Tree, target: Tree,
                 common: tuple[tuple[int, float, float], ...],
                 supports: tuple[SupportPair, ...], leaf_deltas: tuple[float, ...]):
-        total = sum([(a + b) * (a + b) for _, _, a, b in supports])
-        total += sum([(ls - lt) * (ls - lt) for _, ls, lt in common])
-        total += sum([d * d for d in leaf_deltas])
-        if not math.isfinite(total):
-            raise ArithmeticError(f"the squared geodesic distance is {total}")
-        length = math.sqrt(total)
-        if total < _SQUARE_FLOOR:
-            sums, deltas = [a + b for _, _, a, b in supports], [ls - lt for _, ls, lt in common]
-            length = _scaled_squares(sums, deltas, leaf_deltas)[2]
+        length = math.hypot(
+            *[a + b for _, _, a, b in supports], *[ls - lt for _, ls, lt in common], *leaf_deltas
+        )
+        if not math.isfinite(length * length):
+            raise ArithmeticError(f"the squared geodesic distance is {length * length}")
         return tuple.__new__(cls, (source, target, common, supports, leaf_deltas, length))
 
     def __getnewargs__(self):
@@ -347,31 +339,14 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     return best, reach[u], full ^ u
 
 
-def _squares(items: list[tuple]) -> tuple[list[float], float, float]:
-    """(squared lengths, their sum, norm) of a side; see _SQUARE_FLOOR."""
-    squares = [l * l for _, l, _ in items]
-    total = sum(squares)
-    if total >= _SQUARE_FLOOR:
-        return squares, total, math.sqrt(total)
-    return _scaled_squares([l for _, l, _ in items])
-
-
-def _scaled_squares(*parts) -> tuple[list[float], float, float]:
-    """(squares, their sum, norm) of `parts` at _SQUARE_FLOOR's scale, summed part by part."""
-    shift = -math.frexp(max([abs(x) for part in parts for x in part]))[1]
-    squares = [[y * y for y in [math.ldexp(x, shift) for x in part]] for part in parts]
-    total = sum([sum(part) for part in squares])
-    return sum(squares, []), total, math.ldexp(math.sqrt(total), -shift)
-
-
 def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) -> None:
     """Split (A, B) on minimum covers until none weighs less than one.
 
     Items are (split, length, conflict row) on side A and (split, length,
     bit) on side B; a row holds the bits of the B splits it conflicts with.
     """
-    squares_a, norm_a2, norm_a = _squares(a_items)
-    squares_b, norm_b2, norm_b = _squares(b_items)
+    norm_a = math.hypot(*[l for _, l, _ in a_items])
+    norm_b = math.hypot(*[l for _, l, _ in b_items])
     # a cut must leave splits of both trees in both halves, so a side
     # holding one split ends the refinement without a cover
     if len(a_items) > 1 and len(b_items) > 1:
@@ -383,8 +358,8 @@ def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) 
                     local |= 1 << j
             rows.append(local)
         weight, cover_a, cover_b = _min_cover(
-            [q / norm_a2 for q in squares_a],
-            [q / norm_b2 for q in squares_b],
+            [(l / norm_a) * (l / norm_a) for _, l, _ in a_items],
+            [(l / norm_b) * (l / norm_b) for _, l, _ in b_items],
             rows,
         )
         if weight < 1.0 - _REFINE_TOL:

@@ -234,15 +234,15 @@ def reference_max_flow(net: FlowNetwork):
 
 def reference_refine(a_items, b_items, out) -> None:
     """Split (A, B) on minimum covers until none weighs less than one."""
-    norm_a2 = sum(l * l for _, l in a_items)
-    norm_b2 = sum(l * l for _, l in b_items)
+    norm_a = math.hypot(*(l for _, l in a_items))
+    norm_b = math.hypot(*(l for _, l in b_items))
     rows = [
         sum(1 << j for j, (b, _) in enumerate(b_items) if not compatible(a, b))
         for a, _ in a_items
     ]
     net = FlowNetwork(
-        [l * l / norm_a2 for _, l in a_items],
-        [l * l / norm_b2 for _, l in b_items],
+        [(l / norm_a) * (l / norm_a) for _, l in a_items],
+        [(l / norm_b) * (l / norm_b) for _, l in b_items],
         rows,
     )
     _, cover_a, cover_b = reference_max_flow(net)
@@ -262,8 +262,8 @@ def reference_refine(a_items, b_items, out) -> None:
         SupportPair(
             frozenset(s for s, _ in a_items),
             frozenset(s for s, _ in b_items),
-            math.sqrt(norm_a2),
-            math.sqrt(norm_b2),
+            norm_a,
+            norm_b,
         )
     )
 

@@ -131,25 +131,28 @@ class TestDistance:
         assert distance(t, s) == pytest.approx(3e-100, rel=1e-15, abs=0.0)
 
     def test_lengths_scaled_by_a_power_of_two_scale_the_supports_and_length(self, rng):
-        # 2**-600 squares to below the smallest double
-        def tiny(tree):
-            leaf_lengths = tuple([math.ldexp(length, -600) for length in tree.leaf_lengths])
-            inner = {split: math.ldexp(length, -600) for split, length in tree.inner.items()}
+        def scaled(tree, exponent):
+            leaf_lengths = tuple([math.ldexp(length, exponent) for length in tree.leaf_lengths])
+            inner = {split: math.ldexp(length, exponent) for split, length in tree.inner.items()}
             return Tree(tree.taxa, leaf_lengths, inner)
 
-        # squares taken with pow(x, 2) break this in about 1 pair in 1000
         for _ in range(3000):
             taxa = make_taxa(rng.randrange(5, 9))
             s = random_tree(taxa, rng, drop_probability=0.2)
             t = random_tree(taxa, rng, drop_probability=0.2)
-            want, got = geodesic(s, t), geodesic(tiny(s), tiny(t))
-            assert [(p.a_side, p.b_side) for p in got.supports] == [
-                (p.a_side, p.b_side) for p in want.supports
-            ]
-            assert [(p.a_norm, p.b_norm) for p in got.supports] == [
-                (math.ldexp(p.a_norm, -600), math.ldexp(p.b_norm, -600)) for p in want.supports
-            ]
-            assert got.length == math.ldexp(want.length, -600)
+            want = geodesic(s, t)
+            # every square underflows at 2**-600, and at 2**-1000 the lengths
+            # themselves near the subnormals; at 2**400 every square is finite
+            for exponent in (-600, -1000, 400):
+                got = geodesic(scaled(s, exponent), scaled(t, exponent))
+                assert [(p.a_side, p.b_side) for p in got.supports] == [
+                    (p.a_side, p.b_side) for p in want.supports
+                ]
+                assert [(p.a_norm, p.b_norm) for p in got.supports] == [
+                    (math.ldexp(p.a_norm, exponent), math.ldexp(p.b_norm, exponent))
+                    for p in want.supports
+                ]
+                assert got.length == math.ldexp(want.length, exponent)
 
     def test_metric_axioms(self, rng):
         for _ in range(40):

@@ -122,7 +122,7 @@ def test_no_module_reads_a_private_attribute_of_an_import():
 def squares_by_power() -> list[str]:
     """`x ** 2` in the package.  A square is written `x * x`, which is
     correctly rounded and so exact under a power-of-two scale; libm's
-    pow(x, 2) is not always, and the geodesic's tiny-length rule needs it."""
+    pow(x, 2) is not always."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -138,6 +138,25 @@ def squares_by_power() -> list[str]:
 
 def test_no_module_squares_with_a_power():
     assert squares_by_power() == []
+
+
+def geodesic_norm_calls() -> list[str]:
+    """`math.sqrt`, `math.ldexp` or `math.frexp` in `geodesic.py`: every
+    norm and path length there is one `math.hypot`, which scales by a power
+    of two itself, so a hand-scaled sum of squares is a second path."""
+    path = PACKAGE / "geodesic.py"
+    return [
+        f"{path.name}:{node.lineno} math.{node.attr}"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "math"
+        and node.attr in {"sqrt", "ldexp", "frexp"}
+    ]
+
+
+def test_geodesic_takes_every_norm_with_hypot():
+    assert geodesic_norm_calls() == []
 
 
 def untraceable_sites() -> list[str]:
