@@ -28,11 +28,13 @@ commands meet them:
   memo emptied before each pass as for geodesic;
 - max flow: `max_flow` on every network that reaches it (counted in
   `networks_per_geodesic`);
-- covers: `_min_cover` on every network those geodesics build, grouped
-  by the size of the network's smaller side, once by enumeration and
-  once through max flow (with `_ENUM_MAX` set to ENUM_TIMED and to 0),
-  for sides of up to ENUM_TIMED splits.  Where enumeration is cheaper
-  is where `geodesic._ENUM_MAX` belongs.
+- covers: `_min_cover` on every network those geodesics build (counted
+  in `covers_per_geodesic`; a pair that is final without a cover, such
+  as a complete conflict, builds none), grouped by the size of the
+  network's smaller side, once by enumeration and once through max flow
+  (with `_ENUM_MAX` set to ENUM_TIMED and to 0), for sides of up to
+  ENUM_TIMED splits.  Where enumeration is cheaper is where
+  `geodesic._ENUM_MAX` belongs.
 
 Each value is the least time per call over REPEATS passes, with the
 garbage collector off during a pass as `timeit` has it.  The geodesic

@@ -49,7 +49,10 @@ class EstimatorConfig(_EstimatorFields):
 
 
 def _drop_tiny_splits(tree: Tree) -> Tree:
-    inner = {s: l for s, l in tree.inner.items() if l >= _CLEANUP_EPS}
+    # the cutoff is relative to the longest edge, so that scaling every
+    # input by a power of two scales the estimate exactly
+    floor = _CLEANUP_EPS * max([*tree.leaf_lengths, *tree.inner.values()])
+    inner = {s: l for s, l in tree.inner.items() if l >= floor}
     if len(inner) == len(tree.inner):
         return tree
     return Tree(tree.taxa, tree.leaf_lengths, inner)

@@ -12,9 +12,12 @@ is refined by solving a minimum-weight vertex cover on the bipartite
 incompatibility graph, with weights given by squared lengths normalized
 per side.  A pair is split whenever a cover of weight strictly below
 one exists; at termination the ratio sequence is nondecreasing and the
-path is the geodesic.  A pair with one split on either side is final
-without a cut, because each half of a split pair needs at least one
-split of each tree; no cover is sought for it.  The trees are over one
+path is the geodesic.  A pair is final without a cover in two cases.
+With one split on either side it cannot be cut, because each half of a
+split pair needs at least one split of each tree; a pair of one split
+each is built directly, since math.hypot(x) is abs(x).  When every
+source split conflicts with every target split, every cover holds a
+whole side, so again no cover can cut it.  The trees are over one
 taxon table, so conflicts are tested on the split masks directly: two
 masks normalized away from leaf 0 conflict exactly when they meet and
 neither contains the other.
@@ -25,7 +28,12 @@ each side's weights in ascending index order.  When the smaller side
 holds at most _ENUM_MAX vertices, the cover is found by enumerating its
 subsets; larger networks go to max flow.  Both break exact ties towards
 the fewest A vertices, so they agree wherever covers tie exactly or sum
-float-exactly; a tie decided by float rounding may go either way.
+float-exactly; a tie decided by float rounding may go either way.  A
+smaller side of two splits has its four candidate covers written out.
+The larger side's sums come from one table of every subset's sum when
+that side holds at most two splits more than the smaller; the table
+adds in ascending index order too, so its sums are bit for bit those of
+a sum over each mask.
 
 Max flow uses the standard encoding: source -> a with capacity w(a),
 b -> sink with capacity w(b), and an uncapacitated arc a -> b for every
@@ -51,10 +59,14 @@ covered.
 
 A geodesic is computed in two passes.  The layout holds everything that
 depends only on the two split sets: the common splits, the conflict
-rows and the components.  `_layout` keeps the last _LAYOUT_MEMO layouts
-in an `lru_cache`, keyed on the ordered pair (source split set, target
-split set), since the layout from s to t is not that from t to s; a
-proximal walk meets few distinct pairs, so most of its steps reuse one.
+rows and the components.  A split and every split it conflicts with lie
+in one region, under the smallest common split containing them, so the
+layout looks a region up once per group of source splits whose rows
+meet, not once per conflicting split.  `_layout` keeps the last
+_LAYOUT_MEMO layouts in an `lru_cache`, keyed on the ordered pair
+(source split set, target split set), since the layout from s to t is
+not that from t to s.  A 5-taxon proximal walk meets few distinct pairs
+and reuses nearly every layout; a 32-taxon one reuses about a third.
 The length pass reads both trees' lengths through the layout, refines
 each component and builds the path.  A layout holds no lengths and no
 tree and is never changed after it is built.
@@ -204,40 +216,28 @@ def max_flow(net: FlowNetwork) -> tuple[float, int, int]:
     a_adj: list[list[int]] = [[] for _ in range(na)]
     b_adj: list[list[int]] = [[] for _ in range(nb)]
     for i, row in enumerate(net.rows):
-        for j in range(nb):
-            if row >> j & 1:
-                a_adj[i].append(j)
-                b_adj[j].append(i)
+        # the set bits of the row, lowest first: index order
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            a_adj[i].append(j)
+            b_adj[j].append(i)
+            row ^= low
     # back[j][i]: flow on a_i -> b_j, the residual capacity of b_j -> a_i
     back = [[0.0] * na for _ in range(nb)]
 
     flow = 0.0
+    # the a vertices with a residual source arc, in index order; a source
+    # arc only loses capacity, so one leaves the list when it saturates
+    sources = [i for i in range(na) if a_cap[i] > 0.0]
     while True:
         # breadth-first, one layer of each side at a time; a_from[i] is
         # -1 for the source arc or the b reached before a_i
         a_from: list[int | None] = [None] * na
-        b_from: list[int | None] = [None] * nb
-        layer = [i for i in range(na) if a_cap[i] > 0.0]
-        for i in layer:
+        for i in sources:
             a_from[i] = -1
-        last = -1
-        while layer and last < 0:
-            reached = []
-            for i in layer:
-                for j in a_adj[i]:
-                    if b_from[j] is None:
-                        b_from[j] = i
-                        reached.append(j)
-            layer = []
-            for j in reached:
-                if b_cap[j] > 0.0:
-                    last = j
-                    break
-                row = back[j]
-                for i in b_adj[j]:
-                    if a_from[i] is None and row[i] > 0.0:
-                        a_from[i] = j
-                        layer.append(i)
+        b_from: list[int | None] = [None] * nb
+        last = _search(sources, a_adj, b_adj, a_from, b_from, b_cap, back)
         if last < 0:
             break
         # the path sink <- b_last <- a <- ... <- source; a -> b arcs are
@@ -260,6 +260,8 @@ def max_flow(net: FlowNetwork) -> tuple[float, int, int]:
             k = a_from[i]
             if k < 0:
                 a_cap[i] -= send
+                if not a_cap[i] > 0.0:
+                    sources.remove(i)
                 break
             back[k][i] -= send
             j = k
@@ -283,6 +285,32 @@ def max_flow(net: FlowNetwork) -> tuple[float, int, int]:
     cover_a = sum([1 << i for i in range(na) if reach_a[i]])
     cover_b = sum([1 << j for j in range(nb) if not reach_b[j]])
     return flow, cover_a, cover_b
+
+
+def _search(layer, a_adj, b_adj, a_from, b_from, b_cap, back) -> int:
+    """The first b with a residual sink arc, in breadth-first order from
+    the a vertices of `layer`, or -1; fills a_from and b_from on the way.
+
+    A b is tested for its sink arc as it is reached: every b reached
+    before it has none, so it is the first such b in the reached order.
+    """
+    while layer:
+        reached = []
+        for i in layer:
+            for j in a_adj[i]:
+                if b_from[j] is None:
+                    b_from[j] = i
+                    if b_cap[j] > 0.0:
+                        return j
+                    reached.append(j)
+        layer = []
+        for j in reached:
+            row = back[j]
+            for i in b_adj[j]:
+                if a_from[i] is None and row[i] > 0.0:
+                    a_from[i] = j
+                    layer.append(i)
+    return -1
 
 
 def _subset_sums(weights) -> list[float]:
@@ -318,17 +346,37 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     if small_is_a:
         small, large, conflicts = a_weights, b_weights, rows
         # zero-weight B vertices are covered whatever U is
-        always = sum(1 << j for j, w in enumerate(b_weights) if w == 0.0)
+        always = sum([1 << j for j, w in enumerate(b_weights) if w == 0.0]) if 0.0 in b_weights else 0
     else:
         small, large, always = b_weights, a_weights, 0
-        conflicts = [sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(nb)]
-    full = (1 << len(small)) - 1
-    reach = [always]  # reach[u]: the other side's cover when u is uncovered
-    for row in conflicts:
-        reach += [r | row for r in reach]
-    large_sums = {n: _mask_sum(large, n) for n in set(reach)}
-    # weights[u]; the covered part of the small side is full ^ u == full - u
-    weights = [c + large_sums[n] for c, n in zip(reversed(_subset_sums(small)), reach)]
+        conflicts = [sum([1 << i for i, row in enumerate(rows) if row >> j & 1]) for j in range(nb)]
+    # large_sums[n]: the other side's weight over mask n; the _subset_sums
+    # table adds exactly as _mask_sum does, and is cheaper while it is small
+    if len(small) == 2:
+        # the four U written out, each side summed as _subset_sums does
+        (w0, w1), (r0, r1) = small, conflicts
+        full, n1, n2 = 3, always | r0, always | r1
+        reach = (always, n1, n2, n1 | r1)
+        if len(large) == 2:
+            l0, l1 = large
+            large_sums = (0.0, 0.0 + l0, 0.0 + l1, 0.0 + l0 + l1)
+        elif len(large) <= 4:
+            large_sums = _subset_sums(large)
+        else:
+            large_sums = {n: _mask_sum(large, n) for n in reach}
+        weights = [w0 + w1 + large_sums[always], w1 + large_sums[n1], w0 + large_sums[n2],
+                   large_sums[reach[3]]]
+    else:
+        full = (1 << len(small)) - 1
+        reach = [always]  # reach[u]: the other side's cover when u is uncovered
+        for row in conflicts:
+            reach += [r | row for r in reach]
+        if len(large) - len(small) <= 2:
+            large_sums = _subset_sums(large)
+        else:
+            large_sums = {n: _mask_sum(large, n) for n in set(reach)}
+        # weights[u]; the covered part of the small side is full ^ u == full - u
+        weights = [c + large_sums[n] for c, n in zip(reversed(_subset_sums(small)), reach)]
     best = min(weights)
     # in exact arithmetic the lightest U form a lattice, so the largest U
     # is the last lightest index and the smallest U the first
@@ -339,46 +387,55 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     return best, reach[u], full ^ u
 
 
-def _refine(a_items: list[tuple], b_items: list[tuple], out: list[SupportPair]) -> None:
+def _refine(a_side, b_side, s_len: dict, t_len: dict, out: list[SupportPair]) -> None:
     """Split (A, B) on minimum covers until none weighs less than one.
 
-    Items are (split, length, conflict row) on side A and (split, length,
-    bit) on side B; a row holds the bits of the B splits it conflicts with.
+    A holds (split, conflict row) pairs and B (split, bit) pairs, as the
+    layout gives them; a row holds the bits of the B splits it conflicts
+    with.  Lengths are read from s_len and t_len.
     """
-    norm_a = math.hypot(*[l for _, l, _ in a_items])
-    norm_b = math.hypot(*[l for _, l, _ in b_items])
+    na, nb = len(a_side), len(b_side)
+    if na == 1 == nb:
+        # built directly: math.hypot(x) is abs(x)
+        (a, _), (b, _) = a_side[0], b_side[0]
+        out.append(tuple.__new__(SupportPair, (frozenset((a,)), frozenset((b,)), abs(s_len[a]), abs(t_len[b]))))
+        return
+    a_lengths = [s_len[a] for a, _ in a_side]
+    b_lengths = [t_len[b] for b, _ in b_side]
+    norm_a = math.hypot(*a_lengths)
+    norm_b = math.hypot(*b_lengths)
     # a cut must leave splits of both trees in both halves, so a side
     # holding one split ends the refinement without a cover
-    if len(a_items) > 1 and len(b_items) > 1:
+    if na > 1 and nb > 1:
         rows = []  # the rows over this network's B indices
-        for _, _, row in a_items:
+        for _, row in a_side:
             local = 0
-            for j, (_, _, bit) in enumerate(b_items):
+            for j, (_, bit) in enumerate(b_side):
                 if row & bit:
                     local |= 1 << j
             rows.append(local)
-        weight, cover_a, cover_b = _min_cover(
-            [(l / norm_a) * (l / norm_a) for _, l, _ in a_items],
-            [(l / norm_b) * (l / norm_b) for _, l, _ in b_items],
-            rows,
-        )
-        if weight < 1.0 - _REFINE_TOL:
-            c1 = [item for i, item in enumerate(a_items) if cover_a >> i & 1]
-            c2 = [item for i, item in enumerate(a_items) if not cover_a >> i & 1]
-            d1 = [item for j, item in enumerate(b_items) if not cover_b >> j & 1]
-            d2 = [item for j, item in enumerate(b_items) if cover_b >> j & 1]
-            if c1 and c2 and d1 and d2:
-                _refine(c1, d1, out)
-                _refine(c2, d2, out)
+        full_a, full_b = (1 << na) - 1, (1 << nb) - 1
+        # every cover of a complete network holds a whole side, so it cannot
+        # cut the pair either
+        if rows.count(full_b) < na:
+            weight, cover_a, cover_b = _min_cover(
+                [(l / norm_a) * (l / norm_a) for l in a_lengths],
+                [(l / norm_b) * (l / norm_b) for l in b_lengths],
+                rows,
+            )
+            if weight < 1.0 - _REFINE_TOL and 0 < cover_a < full_a and 0 < cover_b < full_b:
+                c1, c2, d1, d2 = [], [], [], []
+                for item in a_side:
+                    (c1 if cover_a & 1 else c2).append(item)
+                    cover_a >>= 1
+                for item in b_side:
+                    (d2 if cover_b & 1 else d1).append(item)
+                    cover_b >>= 1
+                _refine(c1, d1, s_len, t_len, out)
+                _refine(c2, d2, s_len, t_len, out)
                 return
-    out.append(
-        SupportPair(
-            frozenset([s for s, _, _ in a_items]),
-            frozenset([s for s, _, _ in b_items]),
-            norm_a,
-            norm_b,
-        )
-    )
+    out.append(tuple.__new__(SupportPair, (frozenset([a for a, _ in a_side]),
+                                           frozenset([b for b, _ in b_side]), norm_a, norm_b)))
 
 
 @functools.lru_cache(maxsize=_LAYOUT_MEMO)
@@ -402,37 +459,47 @@ def _layout(s_splits: frozenset[int], t_splits: frozenset[int]) -> tuple[tuple, 
     for row in rows:
         t_hit |= row
     common = list(s_splits & t_splits)
-    common += [a for a, row in zip(s_only, rows) if not row]
-    common += [b for j, b in enumerate(t_only) if not t_hit >> j & 1]
+    if 0 in rows:
+        common += [a for a, row in zip(s_only, rows) if not row]
+    if t_hit != (1 << len(t_only)) - 1:
+        common += [b for j, b in enumerate(t_only) if not t_hit >> j & 1]
     common.sort()
 
     # The common splits form a laminar family that cuts the conflict into
     # independent components; every incompatibility stays inside one
-    # component, so refinement runs per component.
+    # component, so refinement runs per component.  A split and every
+    # split it conflicts with lie in one region, keyed by the smallest
+    # common split strictly containing them (-1 if none does).  So a
+    # source split whose row meets the target splits gathered for a region
+    # is in it, and only a split that meets none looks its region up.
     cut_masks = sorted(common, key=int.bit_count)
-    cut_sizes = [mask.bit_count() for mask in cut_masks]
-
-    def region(x: int) -> int:
-        # the smallest common split strictly containing x; smaller or
-        # equal sizes cannot contain it
-        for mask in cut_masks[bisect_right(cut_sizes, x.bit_count()) :]:
-            if x & mask == x:
-                return mask
-        return -1
-
-    regions: dict[int, tuple[list, list]] = {}
+    cut_sizes = list(map(int.bit_count, cut_masks))
+    a_sides: dict[int, list] = {}
+    b_masks: dict[int, int] = {}  # the target splits of each region
     for a, row in zip(s_only, rows):
         if row:
-            regions.setdefault(region(a), ([], []))[0].append((a, row))
-    for j, b in enumerate(t_only):
-        if t_hit >> j & 1:
-            regions.setdefault(region(b), ([], []))[1].append((b, 1 << j))
+            for key, hit in b_masks.items():
+                if row & hit:
+                    break
+            else:
+                # smaller or equal sizes cannot contain a
+                for key in cut_masks[bisect_right(cut_sizes, a.bit_count()) :]:
+                    if a & key == a:
+                        break
+                else:
+                    key = -1
+            a_sides.setdefault(key, []).append((a, row))
+            b_masks[key] = b_masks.get(key, 0) | row
     components = []
-    for key in sorted(regions):
-        a_side, b_side = regions[key]
-        if not a_side or not b_side:
-            raise AssertionError("conflict component with an empty side")
-        components.append((tuple(a_side), tuple(b_side)))
+    for key in sorted(a_sides):
+        # a region's target splits are those its rows hit, in index order
+        b_side = []
+        hit = b_masks[key]
+        while hit:
+            bit = hit & -hit
+            b_side.append((t_only[bit.bit_length() - 1], bit))
+            hit ^= bit
+        components.append((tuple(a_sides[key]), tuple(b_side)))
     return tuple(common), tuple(components)
 
 
@@ -445,11 +512,7 @@ def geodesic(s: Tree, t: Tree) -> GeodesicPath:
 
     supports: list[SupportPair] = []
     for a_side, b_side in components:
-        _refine(
-            [(a, s_len[a], row) for a, row in a_side],
-            [(b, t_len[b], bit) for b, bit in b_side],
-            supports,
-        )
+        _refine(a_side, b_side, s_len, t_len, supports)
     if len(supports) > 1:
         # A sides of distinct supports are disjoint, so their smallest masks
         # break ratio ties as the sorted lists of all their masks would

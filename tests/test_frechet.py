@@ -236,3 +236,38 @@ class TestVariance:
     def test_empty_input(self):
         with pytest.raises(ValueError):
             variance([], spider_tree({1, 2}, 0.1))
+
+
+def scaled(tree: Tree, exponent: int) -> Tree:
+    return Tree(
+        tree.taxa,
+        tuple(math.ldexp(l, exponent) for l in tree.leaf_lengths),
+        {s: math.ldexp(l, exponent) for s, l in tree.inner.items()},
+    )
+
+
+def length_bits(tree: Tree):
+    return [l.hex() for l in tree.leaf_lengths], [(s, l.hex()) for s, l in tree.inner.items()]
+
+
+class TestScaleFreeCleanup:
+    """The estimators' last step drops splits short against the estimate's
+    longest edge, not against an absolute length."""
+
+    @pytest.mark.parametrize("estimator", [mean, median])
+    def test_identical_tiny_trees_are_their_own_estimate(self, estimator, rng):
+        tree = scaled(random_tree(make_taxa(6), rng), -50)
+        assert max(tree.inner.values()) < 1e-12
+        estimate = estimator([tree, tree], EstimatorConfig(iterations=50, seed=1))
+        assert length_bits(estimate) == length_bits(tree)
+        assert variance([tree, tree], estimate) == 0.0
+
+    @pytest.mark.parametrize("exponent", [-600, 400])
+    def test_a_scaled_set_has_the_scaled_mean(self, exponent, rng):
+        # the median's step size has units, so only the mean scales
+        taxa = make_taxa(8)
+        trees = [random_tree(taxa, rng, drop_probability=0.2) for _ in range(12)]
+        config = EstimatorConfig(iterations=400, seed=3)
+        want = mean(trees, config)
+        got = mean([scaled(tree, exponent) for tree in trees], config)
+        assert length_bits(got) == length_bits(scaled(want, exponent))

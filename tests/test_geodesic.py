@@ -527,10 +527,10 @@ class TestOneSplitSide:
             one, many = pairs[:1], pairs[1:]
             a_pairs, b_pairs = (one, many) if trial % 2 else (many, one)
             rows = _conflict_rows([a for a, _ in a_pairs], [b for b, _ in b_pairs])
-            a_items = [(a, l, row) for (a, l), row in zip(a_pairs, rows)]
-            b_items = [(b, l, 1 << j) for j, (b, l) in enumerate(b_pairs)]
+            a_side = [(a, row) for (a, _), row in zip(a_pairs, rows)]
+            b_side = [(b, 1 << j) for j, (b, _) in enumerate(b_pairs)]
             got, want = [], []
-            _refine(a_items, b_items, got)
+            _refine(a_side, b_side, dict(a_pairs), dict(b_pairs), got)
             reference_refine(a_pairs, b_pairs, want)
             assert got == want
             assert len(got) == 1
@@ -649,6 +649,48 @@ class TestEnumeratedCover:
         # a zero-weight A vertex is covered when a neighbour stays uncovered
         assert _min_cover([0.0, 0.5], [0.25, 0.5], [1, 2]) == (0.5, 1, 2)
 
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_small_sides_of_two_and_three_match_brute_force(self, tied, rng):
+        # the closed-form cover (a smaller side of two) and the shared
+        # subset-sum table (a larger side at most two splits longer), in
+        # both orientations; tied weights sum exactly, so the brute force
+        # sees every exact tie and its fewest-A cover is the intersection
+        # of the A sides of all minimum covers
+        seen = set()
+        for trial in range(1500):
+            small = 2 + trial % 2
+            large = small + rng.randrange(4)
+            na, nb = (small, large) if trial // 2 % 2 else (large, small)
+
+            def draw(count):
+                if tied:
+                    return [rng.choice((0.0, 0.25, 0.25, 0.5, 0.5)) for _ in range(count)]
+                return [0.0 if rng.random() < 0.2 else rng.uniform(0.01, 1.0) for _ in range(count)]
+
+            a_weights, b_weights = draw(na), draw(nb)
+            rows = [rng.randrange(1 << nb) for _ in range(na)]
+            weight, cover_a, cover_b = _min_cover(a_weights, b_weights, rows)
+            assert covers(rows, cover_a, cover_b)
+            best, _ = brute_force_min_cover(a_weights, b_weights, rows)
+            if not tied:
+                assert weight == pytest.approx(best, abs=1e-12)
+                continue
+            assert weight == best
+            fewest_a = (1 << na) - 1
+            for a_mask in range(1 << na):
+                for b_mask in range(1 << nb):
+                    if covers(rows, a_mask, b_mask):
+                        total = sum(a_weights[i] for i in range(na) if a_mask >> i & 1)
+                        total += sum(b_weights[j] for j in range(nb) if b_mask >> j & 1)
+                        if total == best:
+                            fewest_a &= a_mask
+            assert cover_a == fewest_a, (a_weights, b_weights, rows)
+            seen.add((na <= nb, small, large - small))
+        if tied:
+            # equal sides enumerate A, so B is the smaller only when shorter
+            assert seen == {(a_small, small, more) for a_small in (True, False)
+                            for small in (2, 3) for more in range(a_small is False, 4)}
+
 
 def complete_conflict_pair(n, a_length, b_length, leaf_length=0.1):
     """Two caterpillars whose n-3 inner splits all conflict pairwise.
@@ -739,6 +781,27 @@ class TestRefineThresholdTies:
                         brute_force_distance(s, t), abs=1e-12
                     )
 
+    def test_a_complete_component_is_final_without_a_cover(self, rng, monkeypatch):
+        calls = []
+        real = geodesic_module._min_cover
+
+        def counting(*network):
+            calls.append(network)
+            return real(*network)
+
+        monkeypatch.setattr(geodesic_module, "_min_cover", counting)
+        for n in (6, 8, 11, 16):
+            for _ in range(5):
+                s, t = complete_conflict_pair(n, 0.1, 0.1)
+                s = Tree(s.taxa, s.leaf_lengths, {a: rng.uniform(0.01, 1.0) for a in s.inner})
+                t = Tree(t.taxa, t.leaf_lengths, {b: rng.uniform(0.01, 1.0) for b in t.inner})
+                path = geodesic(s, t)
+                assert [(p.a_side, p.b_side) for p in path.supports] == [
+                    (frozenset(s.inner), frozenset(t.inner))
+                ]
+                assert_same_path(path, reference_geodesic(s, t))
+        assert calls == []
+
     def test_proportional_matchings_are_one_pair(self, rng, monkeypatch):
         covers = []
         real = geodesic_module._min_cover
@@ -808,6 +871,49 @@ def split_set_pairs(draw):
                              min_size=len(splits), max_size=len(splits)))
         sides.append([split for split, keep in zip(splits, kept) if keep])
     return make_taxa(n), sides[0], sides[1], False
+
+
+def per_split_components(s_splits, t_splits):
+    """_layout's components, each conflicting split looking up its own
+    region: the smallest common split strictly containing it."""
+    common, _ = geodesic_module._layout(frozenset(s_splits), frozenset(t_splits))
+    s_only = sorted(set(s_splits) - set(t_splits))
+    t_only = sorted(set(t_splits) - set(s_splits))
+    rows = _conflict_rows(s_only, t_only)
+
+    def region(x):
+        containing = [c for c in common if x & c == x and c != x]
+        return min(containing, key=int.bit_count) if containing else -1
+
+    regions = {}
+    for a, row in zip(s_only, rows):
+        if row:
+            regions.setdefault(region(a), ([], []))[0].append((a, row))
+    for j, b in enumerate(t_only):
+        if any(row >> j & 1 for row in rows):
+            regions.setdefault(region(b), ([], []))[1].append((b, 1 << j))
+    return tuple((tuple(a_side), tuple(b_side)) for _, (a_side, b_side) in sorted(regions.items()))
+
+
+def test_one_region_lookup_per_group_gives_the_per_split_components(rng):
+    sizes = set()
+    for trial in range(300):
+        n = rng.choice((8, 12, 16, 24, 32, 48, 64))
+        sides = []
+        for _ in range(2):
+            splits = sorted(random_binary_splits(n, rng))
+            # some non-binary trees: contract a share of the splits
+            drop = rng.choice((0.0, 0.0, 0.2, 0.5))
+            sides.append([sp for sp in splits if rng.random() >= drop])
+        if trial % 3 == 0:
+            # many shared splits: a binary tree and one a few NNI moves away
+            tree = random_tree(make_taxa(n), rng)
+            sides = [sorted(tree.inner), sorted(nni_walk(tree, rng.randrange(1, 6), rng).inner)]
+        geodesic_module._layout.cache_clear()
+        _, components = geodesic_module._layout(frozenset(sides[0]), frozenset(sides[1]))
+        assert components == per_split_components(*sides)
+        sizes.add(min(len(components), 3))
+    assert sizes == {0, 1, 2, 3}
 
 
 class TestLayoutMemo:

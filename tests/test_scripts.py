@@ -43,6 +43,8 @@ def test_treespace_scaling_measures_a_small_tree_set():
     row = script.measure(5, 4, 4, 1, random.Random(1))
     assert row["geodesic_ms"] > 0.0 and row["step_ms"] > 0.0
     assert 0.0 <= row["layout_hit_rate"] <= 1.0
+    # the cover calls per geodesic, beside the networks that reach max flow
+    assert row["covers_per_geodesic"] >= row["networks_per_geodesic"] >= 0.0
 
 
 def test_command_cost_prints_a_row_for_every_command():
