@@ -345,37 +345,36 @@ def _min_cover(a_weights, b_weights, rows: list[int]) -> tuple[float, int, int]:
     small_is_a = na <= nb
     if small_is_a:
         small, large, conflicts = a_weights, b_weights, rows
-        # zero-weight B vertices are covered whatever U is
-        always = sum([1 << j for j, w in enumerate(b_weights) if w == 0.0]) if 0.0 in b_weights else 0
+        # zero-weight B vertices are covered whatever U is; most networks
+        # have none, and the test skips the scan
+        always = 0
+        if 0.0 in b_weights:
+            always = sum(1 << j for j, w in enumerate(b_weights) if w == 0.0)
     else:
         small, large, always = b_weights, a_weights, 0
-        conflicts = [sum([1 << i for i, row in enumerate(rows) if row >> j & 1]) for j in range(nb)]
-    # large_sums[n]: the other side's weight over mask n; the _subset_sums
-    # table adds exactly as _mask_sum does, and is cheaper while it is small
-    if len(small) == 2:
-        # the four U written out, each side summed as _subset_sums does
-        (w0, w1), (r0, r1) = small, conflicts
-        full, n1, n2 = 3, always | r0, always | r1
-        reach = (always, n1, n2, n1 | r1)
-        if len(large) == 2:
-            l0, l1 = large
-            large_sums = (0.0, 0.0 + l0, 0.0 + l1, 0.0 + l0 + l1)
-        elif len(large) <= 4:
-            large_sums = _subset_sums(large)
-        else:
-            large_sums = {n: _mask_sum(large, n) for n in reach}
-        weights = [w0 + w1 + large_sums[always], w1 + large_sums[n1], w0 + large_sums[n2],
-                   large_sums[reach[3]]]
+        conflicts = [sum(1 << i for i, row in enumerate(rows) if row >> j & 1) for j in range(nb)]
+    full = (1 << len(small)) - 1
+    if full == 3:
+        # a smaller side of two splits: its four U written out
+        r0, r1 = conflicts
+        reach = [always, always | r0, always | r1, always | r0 | r1]
     else:
-        full = (1 << len(small)) - 1
         reach = [always]  # reach[u]: the other side's cover when u is uncovered
         for row in conflicts:
             reach += [r | row for r in reach]
-        if len(large) - len(small) <= 2:
-            large_sums = _subset_sums(large)
-        else:
-            large_sums = {n: _mask_sum(large, n) for n in set(reach)}
-        # weights[u]; the covered part of the small side is full ^ u == full - u
+    # large_sums[n]: the other side's weight over mask n; the _subset_sums
+    # table adds exactly as _mask_sum does, and is cheaper while it is small
+    if len(large) - len(small) <= 2:
+        large_sums = _subset_sums(large)
+    else:
+        large_sums = {n: _mask_sum(large, n) for n in set(reach)}
+    # weights[u]; the covered part of the small side is full ^ u == full - u
+    if full == 3:
+        # the sums of _subset_sums(small), reversed, written out
+        w0, w1 = small
+        weights = [w0 + w1 + large_sums[always], w1 + large_sums[reach[1]],
+                   w0 + large_sums[reach[2]], large_sums[reach[3]]]
+    else:
         weights = [c + large_sums[n] for c, n in zip(reversed(_subset_sums(small)), reach)]
     best = min(weights)
     # in exact arithmetic the lightest U form a lattice, so the largest U
@@ -398,7 +397,7 @@ def _refine(a_side, b_side, s_len: dict, t_len: dict, out: list[SupportPair]) ->
     if na == 1 == nb:
         # built directly: math.hypot(x) is abs(x)
         (a, _), (b, _) = a_side[0], b_side[0]
-        out.append(tuple.__new__(SupportPair, (frozenset((a,)), frozenset((b,)), abs(s_len[a]), abs(t_len[b]))))
+        out.append(SupportPair(frozenset((a,)), frozenset((b,)), abs(s_len[a]), abs(t_len[b])))
         return
     a_lengths = [s_len[a] for a, _ in a_side]
     b_lengths = [t_len[b] for b, _ in b_side]
@@ -434,8 +433,11 @@ def _refine(a_side, b_side, s_len: dict, t_len: dict, out: list[SupportPair]) ->
                 _refine(c1, d1, s_len, t_len, out)
                 _refine(c2, d2, s_len, t_len, out)
                 return
-    out.append(tuple.__new__(SupportPair, (frozenset([a for a, _ in a_side]),
-                                           frozenset([b for b, _ in b_side]), norm_a, norm_b)))
+    out.append(
+        SupportPair(
+            frozenset([a for a, _ in a_side]), frozenset([b for b, _ in b_side]), norm_a, norm_b
+        )
+    )
 
 
 @functools.lru_cache(maxsize=_LAYOUT_MEMO)
@@ -459,6 +461,7 @@ def _layout(s_splits: frozenset[int], t_splits: frozenset[int]) -> tuple[tuple, 
     for row in rows:
         t_hit |= row
     common = list(s_splits & t_splits)
+    # most splits conflict: the tests skip scans that would find none
     if 0 in rows:
         common += [a for a, row in zip(s_only, rows) if not row]
     if t_hit != (1 << len(t_only)) - 1:
@@ -467,11 +470,9 @@ def _layout(s_splits: frozenset[int], t_splits: frozenset[int]) -> tuple[tuple, 
 
     # The common splits form a laminar family that cuts the conflict into
     # independent components; every incompatibility stays inside one
-    # component, so refinement runs per component.  A split and every
-    # split it conflicts with lie in one region, keyed by the smallest
-    # common split strictly containing them (-1 if none does).  So a
-    # source split whose row meets the target splits gathered for a region
-    # is in it, and only a split that meets none looks its region up.
+    # component, so refinement runs per component.  A region is keyed by
+    # the smallest common split strictly containing it, -1 if none does;
+    # one lookup serves a conflict group (see the module docstring).
     cut_masks = sorted(common, key=int.bit_count)
     cut_sizes = list(map(int.bit_count, cut_masks))
     a_sides: dict[int, list] = {}
